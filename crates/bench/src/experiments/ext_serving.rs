@@ -258,8 +258,8 @@ pub fn run(h: &Harness) -> Vec<Report> {
 
     // Snapshot-while-serving gate: replay the same stream at 4 workers
     // with the background snapshotter persisting the warm caches at a
-    // short interval. Snapshots read the lock-free published cache
-    // snapshot and commit atomically on a separate thread, so the
+    // short interval. Snapshots read each cache shard under its read
+    // lock and commit atomically on a separate thread, so the
     // virtual-time throughput must stay within 5% of the plain run — any
     // gap means snapshotting contended with the serving path.
     let snapshot_dir = h.config.results_dir.join("ext-serving-snapshots");

@@ -329,7 +329,7 @@ fn serve(machine: MachineModel, args: &[String], mode: ServeMode) {
         runtime.lifecycle().request_drain_at(us * 1e3);
     }
     // Live snapshotting runs beside the serve, persisting the warm caches
-    // off the lock-free cache read path.
+    // under shard read locks that serving lookups share.
     let snapshotter = snapshot_dir.map(|dir| {
         Snapshotter::start(
             Arc::clone(&engine),

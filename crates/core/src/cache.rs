@@ -1,5 +1,5 @@
-//! Sharded, read-mostly program cache with lock-free hits, single-flight
-//! fills, and a segmented-LRU capacity bound.
+//! Sharded program cache with in-place shard maps, single-flight fills,
+//! and a segmented-LRU capacity bound.
 //!
 //! The online stage is on the request path: under concurrent serving, a
 //! single `Mutex<HashMap>` serializes every lookup, and the naive
@@ -7,28 +7,27 @@
 //! all run the (micro- to millisecond) polymerization, N−1 of them
 //! wasted — a classic cache stampede. This cache fixes both:
 //!
-//! * **Lock-free hits** — each shard publishes an immutable
-//!   [`Arc`]`<HashMap>` snapshot stamped with a generation counter.
-//!   Readers keep a thread-local copy of the snapshot and revalidate it
-//!   with a single atomic generation load per lookup; a steady-state hit
-//!   therefore touches *no lock* and performs *no shared writes* beyond
-//!   the returned `Arc`'s refcount and a striped hit counter. Writers
-//!   mutate copy-on-write under a per-shard mutex and publish a new
-//!   snapshot + generation, so they never block readers (readers at worst
-//!   serve one generation stale, which a concurrent lookup is always
-//!   allowed to do).
+//! * **Sharded in-place maps** — keys hash to one of [`DEFAULT_SHARDS`]
+//!   shards, each a `RwLock<HashMap>` mutated in place. A hit takes its
+//!   shard's read lock, clones the entry's `Arc`s and releases the lock;
+//!   lookups on different shards never contend, and hits on one shard
+//!   share it. Every mutation — a miss's in-flight install, a fill's
+//!   commit, [`ShardedCache::remove`], an eviction, a direct insert —
+//!   holds the write lock for one O(1) insert or remove, so a fill costs
+//!   the cache a few hash-map operations however full its shard is.
 //! * **Single flight** — a miss installs an in-flight slot before
 //!   computing. Concurrent misses on the same key find the slot and block
 //!   on its condvar instead of re-running the computation; exactly one
 //!   thread polymerizes each unique shape, and everyone shares the
-//!   resulting `Arc`. If the computing thread panics, the slot is
-//!   abandoned and one waiter takes over, so a poisoned key cannot wedge
-//!   the cache.
+//!   resulting `Arc`. The computation runs outside every shard lock. If
+//!   the computing thread panics, the slot is abandoned and one waiter
+//!   takes over, so a poisoned key cannot wedge the cache.
 //!
-//! Counters are lock-free atomics (the hot hit counter is striped across
-//! cache lines); [`ShardedCache::stats`] snapshots them for serving
-//! telemetry, with the entry count served from an exact atomic that is
-//! maintained at fill/insert/remove/evict time — no shard scans.
+//! Counters are atomics (the hot hit counter is striped across cache
+//! lines, one stripe per thread); [`ShardedCache::stats`] snapshots them
+//! for serving telemetry, with the entry count served from an exact
+//! atomic that is maintained at fill/insert/remove/evict time — no shard
+//! scans.
 //!
 //! An optional **capacity bound** ([`ShardedCache::bounded`]) evicts with
 //! a segmented-LRU policy: new entries enter a probation queue; an entry
@@ -52,24 +51,20 @@
 // Online hot path: failures must surface as typed errors, not panics.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::any::Any;
-use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 /// Default shard count: enough to make cross-shard collisions rare at
-/// serving-realistic thread counts, small enough to stay cheap to snapshot.
+/// serving-realistic thread counts.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Stripes of the hot hit counter (each on its own cache line).
 const HIT_STRIPES: usize = 8;
-
-/// Thread-local read-snapshot slots (direct-mapped by cache id + shard).
-const TLS_SLOTS: usize = 256;
 
 /// Frequencies saturate here; far beyond any promotion threshold.
 const FREQ_CEILING: u32 = 1 << 20;
@@ -205,10 +200,9 @@ enum FlightState<V> {
     Abandoned,
 }
 
-/// Identity and hotness of one ready entry. Shared (via `Arc`) by every
-/// published snapshot holding the entry and by the eviction queues, so a
-/// hit recorded against a one-generation-stale snapshot still lands on
-/// the live entry's frequency.
+/// Identity and hotness of one ready entry. Shared (via `Arc`) by the
+/// entry's shard slot and the eviction state's live index, so the
+/// eviction scan reads a hit-while-resident without touching any shard.
 struct EntryMeta {
     /// Fill stamp: globally unique per (key, fill). Eviction-queue records
     /// carry the stamp they were enqueued with, which is how a record left
@@ -309,37 +303,67 @@ impl Counters {
     }
 }
 
-/// One shard: a published immutable snapshot plus its generation.
-///
-/// Readers revalidate their thread-local snapshot against `gen` with one
-/// atomic load; writers rebuild the map copy-on-write under `map`'s mutex
-/// and bump `gen` before releasing it, so a reader that observes the new
-/// generation and takes the mutex to refresh is guaranteed the new
-/// snapshot (mutex acquire/release ordering), and a reader that observes
-/// the old generation serves at most one generation stale.
+static STRIPE_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's hit-counter stripe, handed out round-robin.
+    static HIT_STRIPE: usize = STRIPE_SEQ.fetch_add(1, Ordering::Relaxed);
+}
+
+/// One shard: a map mutated in place under a reader-writer lock. Each
+/// write-lock critical section is a single insert or remove; no value is
+/// computed under a shard lock, and the map itself is never cloned.
 struct Shard<K, V> {
-    gen: AtomicU64,
-    map: Mutex<Arc<HashMap<K, Slot<V>>>>,
+    map: RwLock<HashMap<K, Slot<V>>>,
 }
 
 impl<K: Eq + Hash + Clone, V> Shard<K, V> {
     fn new() -> Self {
         Self {
-            gen: AtomicU64::new(0),
-            map: Mutex::new(Arc::new(HashMap::new())),
+            map: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Rebuilds the shard map copy-on-write and publishes the result.
-    /// The generation bump happens while the writer mutex is still held,
-    /// which is what makes the readers' revalidate-then-refresh safe.
-    fn mutate<R>(&self, f: impl FnOnce(&mut HashMap<K, Slot<V>>) -> R) -> R {
-        let mut guard = self.map.lock();
-        let mut next: HashMap<K, Slot<V>> = (**guard).clone();
-        let out = f(&mut next);
-        *guard = Arc::new(next);
-        self.gen.fetch_add(1, Ordering::Release);
-        out
+    /// `key`'s slot (cloned `Arc`s), read under the shared lock.
+    fn get(&self, key: &K) -> Option<Slot<V>> {
+        self.map.read().get(key).cloned()
+    }
+
+    /// The miss path's role decision under the write lock: the slot some
+    /// other thread installed meanwhile, or a fresh in-flight slot that
+    /// this caller now leads.
+    fn claim(&self, key: &K) -> Result<Arc<Flight<V>>, Slot<V>> {
+        match self.map.write().entry(key.clone()) {
+            Entry::Occupied(slot) => Err(slot.get().clone()),
+            Entry::Vacant(vacant) => {
+                let flight = Arc::new(Flight {
+                    state: Mutex::new(FlightState::Pending),
+                    ready: Condvar::new(),
+                });
+                vacant.insert(Slot::InFlight(Arc::clone(&flight)));
+                Ok(flight)
+            }
+        }
+    }
+
+    /// Stores a ready entry; true when it added one rather than replacing
+    /// a ready one. The displaced slot is dropped after the lock is
+    /// released.
+    fn commit(&self, key: K, entry: ReadyEntry<V>) -> bool {
+        let displaced = self.map.write().insert(key, Slot::Ready(entry));
+        !matches!(displaced, Some(Slot::Ready(_)))
+    }
+
+    /// Removes `key`'s slot if `pred` accepts it. The removed slot — maybe
+    /// the value's last reference — is returned so the caller drops it
+    /// outside the lock.
+    fn remove_if(&self, key: &K, pred: impl FnOnce(&Slot<V>) -> bool) -> Option<Slot<V>> {
+        let mut map = self.map.write();
+        if map.get(key).is_some_and(pred) {
+            map.remove(key)
+        } else {
+            None
+        }
     }
 }
 
@@ -391,93 +415,10 @@ impl<K: Eq + Hash + Clone> EvictionState<K> {
     }
 }
 
-/// Thread-local cache of published shard snapshots, keyed by (cache id,
-/// shard index) into a direct-mapped table. The `Arc<dyn Any>` erases the
-/// key/value types so one `thread_local!` serves every `ShardedCache`
-/// instantiation; the (globally unique) cache id makes a type confusion
-/// impossible, and a mismatched slot simply refreshes.
-struct TlsSlot {
-    /// Owning cache id; 0 = empty (ids start at 1).
-    cache: u64,
-    shard: u32,
-    gen: u64,
-    map: Option<Arc<dyn Any + Send + Sync>>,
-}
-
-struct ReadCache {
-    slots: Vec<TlsSlot>,
-    /// This thread's hit-counter stripe.
-    stripe: usize,
-}
-
-static STRIPE_SEQ: AtomicUsize = AtomicUsize::new(0);
-static CACHE_IDS: AtomicU64 = AtomicU64::new(1);
-
-impl ReadCache {
-    fn new() -> Self {
-        Self {
-            slots: (0..TLS_SLOTS)
-                .map(|_| TlsSlot {
-                    cache: 0,
-                    shard: 0,
-                    gen: 0,
-                    map: None,
-                })
-                .collect(),
-            stripe: STRIPE_SEQ.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    #[inline]
-    fn index(cache: u64, shard: u32) -> usize {
-        (cache as usize)
-            .wrapping_mul(31)
-            .wrapping_add(shard as usize)
-            & (TLS_SLOTS - 1)
-    }
-
-    /// The current snapshot of `shard`, refreshed (under the shard's
-    /// writer mutex, briefly) only when the generation moved or the slot
-    /// belongs to another cache.
-    fn current<K, V>(
-        &mut self,
-        cache: u64,
-        shard_idx: u32,
-        shard: &Shard<K, V>,
-    ) -> &Arc<dyn Any + Send + Sync>
-    where
-        K: Eq + Hash + Clone + Send + Sync + 'static,
-        V: Send + Sync + 'static,
-    {
-        let slot = &mut self.slots[Self::index(cache, shard_idx)];
-        let gen = shard.gen.load(Ordering::Acquire);
-        let fresh =
-            slot.cache == cache && slot.shard == shard_idx && slot.gen == gen && slot.map.is_some();
-        if !fresh {
-            let guard = shard.map.lock();
-            // Re-read under the mutex: writers bump `gen` while holding
-            // it, so this pairing is exact.
-            slot.gen = shard.gen.load(Ordering::Acquire);
-            slot.map = Some(Arc::clone(&*guard) as Arc<dyn Any + Send + Sync>);
-            slot.cache = cache;
-            slot.shard = shard_idx;
-        }
-        match &slot.map {
-            Some(map) => map,
-            // `fresh` requires `map.is_some()`; the refresh stores one.
-            None => unreachable!("refreshed TLS slot holds a snapshot"),
-        }
-    }
-}
-
-thread_local! {
-    static READ_CACHE: RefCell<ReadCache> = RefCell::new(ReadCache::new());
-}
-
 /// Removes the in-flight slot and wakes waiters if the computation never
-/// completed (i.e. the closure panicked). Removal is identity-checked: if
-/// something else (a direct insert) already replaced the slot, it is left
-/// alone.
+/// completed (i.e. the closure panicked or failed). Removal is
+/// identity-checked: if something else (a direct insert) already replaced
+/// the slot, it is left alone.
 struct FlightGuard<'a, K: Eq + Hash + Clone, V> {
     shard: &'a Shard<K, V>,
     key: Option<K>,
@@ -487,24 +428,19 @@ struct FlightGuard<'a, K: Eq + Hash + Clone, V> {
 impl<K: Eq + Hash + Clone, V> Drop for FlightGuard<'_, K, V> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
-            self.shard.mutate(|map| {
-                if let Some(Slot::InFlight(f)) = map.get(&key) {
-                    if Arc::ptr_eq(f, &self.flight) {
-                        map.remove(&key);
-                    }
-                }
-            });
+            self.shard.remove_if(
+                &key,
+                |slot| matches!(slot, Slot::InFlight(f) if Arc::ptr_eq(f, &self.flight)),
+            );
             *self.flight.state.lock() = FlightState::Abandoned;
             self.flight.ready.notify_all();
         }
     }
 }
 
-/// A sharded map from keys to `Arc`'d values with lock-free hits,
+/// A sharded map from keys to `Arc`'d values with in-place shard maps,
 /// single-flight fills, and an optional segmented-LRU capacity bound.
 pub struct ShardedCache<K, V> {
-    /// Globally unique instance id (keys the thread-local snapshots).
-    id: u64,
     shards: Vec<Shard<K, V>>,
     counters: Counters,
     /// Maximum ready entries; `None` means unbounded (no order tracking).
@@ -514,11 +450,7 @@ pub struct ShardedCache<K, V> {
     eviction: Mutex<EvictionState<K>>,
 }
 
-impl<K, V> ShardedCache<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// A cache with [`DEFAULT_SHARDS`] shards and no capacity bound.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
@@ -545,7 +477,6 @@ where
     fn with_shards_and_capacity(shards: usize, capacity: Option<usize>) -> Self {
         assert!(shards > 0, "cache needs at least one shard");
         Self {
-            id: CACHE_IDS.fetch_add(1, Ordering::Relaxed),
             shards: (0..shards).map(|_| Shard::new()).collect(),
             counters: Counters::new(),
             capacity,
@@ -568,32 +499,10 @@ where
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// The lock-free read path: looks `key` up in this thread's cached
-    /// snapshot of its shard, refreshing the snapshot only when the
-    /// shard's generation moved. Returns the slot (cloned `Arc`s) and the
-    /// thread's hit-counter stripe.
-    fn read_slot(&self, key: &K) -> (Option<Slot<V>>, usize) {
-        let idx = self.shard_index(key);
-        let shard = &self.shards[idx];
-        let looked = READ_CACHE.try_with(|rc| {
-            let mut rc = rc.borrow_mut();
-            let stripe = rc.stripe;
-            let snapshot = rc.current(self.id, idx as u32, shard);
-            let found = snapshot
-                .downcast_ref::<HashMap<K, Slot<V>>>()
-                .and_then(|map| map.get(key))
-                .cloned();
-            (found, stripe)
-        });
-        match looked {
-            Ok(found) => found,
-            // Thread-local storage is gone (thread teardown): fall back
-            // to a brief lock on the published snapshot.
-            Err(_) => (self.shard(key).map.lock().get(key).cloned(), 0),
-        }
-    }
-
-    fn note_hit(&self, meta: &EntryMeta, stripe: usize) {
+    fn note_hit(&self, meta: &EntryMeta) {
+        // Thread-local storage is gone only during thread teardown; any
+        // stripe is correct then.
+        let stripe = HIT_STRIPE.try_with(|s| *s).unwrap_or(0);
         self.counters.hits.add(stripe, 1);
         if self.capacity.is_some() && meta.freq.load(Ordering::Relaxed) < FREQ_CEILING {
             meta.freq.fetch_add(1, Ordering::Relaxed);
@@ -610,11 +519,19 @@ where
         }
     }
 
+    /// Commits `entry` as `key`'s ready slot and keeps the ready count
+    /// exact.
+    fn store_ready(&self, shard: &Shard<K, V>, key: &K, entry: &ReadyEntry<V>) {
+        if shard.commit(key.clone(), entry.clone()) {
+            self.counters.ready.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Looks `key` up without filling; counts as a hit when present.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        match self.read_slot(key) {
-            (Some(Slot::Ready(e)), stripe) => {
-                self.note_hit(&e.meta, stripe);
+        match self.shard(key).get(key) {
+            Some(Slot::Ready(e)) => {
+                self.note_hit(&e.meta);
                 Some(e.value)
             }
             _ => None,
@@ -642,84 +559,49 @@ where
         key: &K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(Arc<V>, CacheOutcome), E> {
-        // Fast path: no lock. A ready hit returns directly; a visible
-        // in-flight slot is awaited without ever taking the shard mutex.
-        match self.read_slot(key) {
-            (Some(Slot::Ready(e)), stripe) => {
-                self.note_hit(&e.meta, stripe);
-                return Ok((e.value, CacheOutcome::Hit));
-            }
-            (Some(Slot::InFlight(flight)), _) => {
-                if let Some(v) = self.await_flight(&flight) {
-                    return Ok((v, CacheOutcome::Waited));
-                }
-                // Abandoned: fall through and contend for the takeover.
-            }
-            (None, _) => {}
-        }
         let shard = self.shard(key);
-        loop {
-            // Decide this thread's role against the canonical map, under
-            // the shard's writer mutex…
-            let flight = {
-                let mut guard = shard.map.lock();
-                match guard.get(key) {
-                    Some(Slot::Ready(e)) => {
-                        let e = e.clone();
-                        drop(guard);
-                        self.note_hit(&e.meta, 0);
-                        return Ok((e.value, CacheOutcome::Hit));
-                    }
-                    Some(Slot::InFlight(flight)) => {
-                        let flight = Arc::clone(flight);
-                        drop(guard);
-                        match self.await_flight(&flight) {
-                            Some(v) => return Ok((v, CacheOutcome::Waited)),
-                            // Computing thread panicked or failed: retry
-                            // and take over the flight.
-                            None => continue,
-                        }
-                    }
-                    None => {
-                        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                        let flight = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Pending),
-                            ready: Condvar::new(),
-                        });
-                        let mut next: HashMap<K, Slot<V>> = (**guard).clone();
-                        next.insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
-                        *guard = Arc::new(next);
-                        shard.gen.fetch_add(1, Ordering::Release);
-                        flight
-                    }
+        let flight = loop {
+            // A hit or a visible flight needs only the read lock; a miss
+            // decides its role again under the write lock, where exactly
+            // one thread installs the in-flight slot.
+            let found = match shard.get(key) {
+                Some(slot) => slot,
+                None => match shard.claim(key) {
+                    Ok(flight) => break flight,
+                    Err(slot) => slot,
+                },
+            };
+            match found {
+                Slot::Ready(e) => {
+                    self.note_hit(&e.meta);
+                    return Ok((e.value, CacheOutcome::Hit));
                 }
-            };
-            // …then compute outside any shard lock. The guard clears the
-            // in-flight slot and wakes waiters on *any* early exit —
-            // panic or `Err` — so a failed leader can never wedge them.
-            let mut guard = FlightGuard {
-                shard,
-                key: Some(key.clone()),
-                flight: Arc::clone(&flight),
-            };
-            let value = Arc::new(compute()?);
-            guard.key = None; // disarm: the fill is committing
-            let entry = self.new_entry(Arc::clone(&value));
-            let replaced_ready = shard.mutate(|map| {
-                matches!(
-                    map.insert(key.clone(), Slot::Ready(entry.clone())),
-                    Some(Slot::Ready(_))
-                )
-            });
-            if !replaced_ready {
-                self.counters.ready.fetch_add(1, Ordering::Relaxed);
+                Slot::InFlight(flight) => {
+                    if let Some(v) = self.await_flight(&flight) {
+                        return Ok((v, CacheOutcome::Waited));
+                    }
+                    // The leader panicked or failed: retry and take over.
+                }
             }
-            *flight.state.lock() = FlightState::Done(Arc::clone(&value));
-            flight.ready.notify_all();
-            self.counters.computations.fetch_add(1, Ordering::Relaxed);
-            self.register_fill(key, &entry);
-            return Ok((value, CacheOutcome::Computed));
-        }
+        };
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        // Compute outside every shard lock. The guard clears the in-flight
+        // slot and wakes waiters on *any* early exit — panic or `Err` —
+        // so a failed leader can never wedge them.
+        let mut guard = FlightGuard {
+            shard,
+            key: Some(key.clone()),
+            flight: Arc::clone(&flight),
+        };
+        let value = Arc::new(compute()?);
+        guard.key = None; // disarm: the fill is committing
+        let entry = self.new_entry(Arc::clone(&value));
+        self.store_ready(shard, key, &entry);
+        *flight.state.lock() = FlightState::Done(Arc::clone(&value));
+        flight.ready.notify_all();
+        self.counters.computations.fetch_add(1, Ordering::Relaxed);
+        self.register(std::iter::once((key.clone(), entry.meta)));
+        Ok((value, CacheOutcome::Computed))
     }
 
     /// Evicts `key`'s ready entry, if any (counted as an invalidation —
@@ -727,17 +609,10 @@ where
     /// slot is left alone: its leader still owns the fill and its waiters
     /// its condvar.
     pub fn remove(&self, key: &K) -> bool {
-        let removed = self.shard(key).mutate(|map| {
-            if matches!(map.get(key), Some(Slot::Ready(_))) {
-                match map.remove(key) {
-                    Some(Slot::Ready(e)) => Some(e),
-                    _ => None,
-                }
-            } else {
-                None
-            }
-        });
-        let Some(entry) = removed else {
+        let removed = self
+            .shard(key)
+            .remove_if(key, |slot| matches!(slot, Slot::Ready(_)));
+        let Some(Slot::Ready(entry)) = removed else {
             return false;
         };
         self.counters.ready.fetch_sub(1, Ordering::Relaxed);
@@ -777,86 +652,42 @@ where
 
     /// Inserts a ready value, replacing any previous entry.
     pub fn insert(&self, key: K, value: Arc<V>) {
-        self.counters.direct_inserts.fetch_add(1, Ordering::Relaxed);
-        let entry = self.new_entry(value);
-        let replaced_ready = self.shard(&key).mutate(|map| {
-            matches!(
-                map.insert(key.clone(), Slot::Ready(entry.clone())),
-                Some(Slot::Ready(_))
-            )
-        });
-        if !replaced_ready {
-            self.counters.ready.fetch_add(1, Ordering::Relaxed);
-        }
-        self.register_fill(&key, &entry);
+        self.insert_many([(key, value)]);
     }
 
-    /// Bulk [`ShardedCache::insert`]: groups the batch by shard so each
-    /// shard republishes its snapshot **once** instead of once per entry
-    /// — this is what makes warm restarts from a large ahead-of-time
-    /// bundle O(n) instead of O(n · shard size).
+    /// Bulk [`ShardedCache::insert`]: one O(1) shard insert per entry and
+    /// a single eviction pass for the whole batch — how a warm restart
+    /// from a large ahead-of-time bundle is loaded.
     pub fn insert_many(&self, entries: impl IntoIterator<Item = (K, Arc<V>)>) {
-        let mut by_shard: Vec<Vec<(K, ReadyEntry<V>)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut n = 0u64;
+        let mut registered = Vec::new();
         for (key, value) in entries {
-            let idx = self.shard_index(&key);
-            by_shard[idx].push((key, self.new_entry(value)));
-            n += 1;
+            let entry = self.new_entry(value);
+            self.store_ready(self.shard(&key), &key, &entry);
+            registered.push((key, entry.meta));
         }
-        if n == 0 {
-            return;
-        }
-        self.counters.direct_inserts.fetch_add(n, Ordering::Relaxed);
-        let mut registered: Vec<(K, ReadyEntry<V>)> = Vec::new();
-        for (idx, batch) in by_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let added = self.shards[idx].mutate(|map| {
-                let mut added = 0usize;
-                for (key, entry) in &batch {
-                    if !matches!(
-                        map.insert(key.clone(), Slot::Ready(entry.clone())),
-                        Some(Slot::Ready(_))
-                    ) {
-                        added += 1;
-                    }
-                }
-                added
-            });
-            self.counters.ready.fetch_add(added, Ordering::Relaxed);
-            registered.extend(batch);
-        }
-        if let Some(capacity) = self.capacity {
-            let mut ev = self.eviction.lock();
-            for (key, entry) in &registered {
-                ev.live.insert(key.clone(), Arc::clone(&entry.meta));
-                ev.probation.push_back(OrderRecord {
-                    key: key.clone(),
-                    stamp: entry.meta.stamp,
-                });
-            }
-            self.evict_to_capacity(&mut ev, capacity);
-            ev.compact();
-        }
+        self.counters
+            .direct_inserts
+            .fetch_add(registered.len() as u64, Ordering::Relaxed);
+        self.register(registered);
     }
 
-    /// Registers a completed fill with the eviction state and trims back
+    /// Registers committed entries with the eviction state and trims back
     /// to capacity. No-op when unbounded (the default never takes the
-    /// order lock). Lock order is eviction-state → shard; no caller holds
-    /// a shard mutex while acquiring the eviction lock, so the two cannot
+    /// order lock). Lock order is eviction state → shard; no caller holds
+    /// a shard lock while acquiring the eviction lock, so the two cannot
     /// deadlock.
-    fn register_fill(&self, key: &K, entry: &ReadyEntry<V>) {
+    fn register(&self, entries: impl IntoIterator<Item = (K, Arc<EntryMeta>)>) {
         let Some(capacity) = self.capacity else {
             return;
         };
         let mut ev = self.eviction.lock();
-        ev.live.insert(key.clone(), Arc::clone(&entry.meta));
-        ev.probation.push_back(OrderRecord {
-            key: key.clone(),
-            stamp: entry.meta.stamp,
-        });
+        for (key, meta) in entries {
+            ev.probation.push_back(OrderRecord {
+                key: key.clone(),
+                stamp: meta.stamp,
+            });
+            ev.live.insert(key, meta);
+        }
         self.evict_to_capacity(&mut ev, capacity);
         ev.compact();
     }
@@ -898,20 +729,15 @@ where
                 ev.protected.push_back(record);
                 continue;
             }
-            // Evict under the victim shard's writer mutex, re-checking
+            // Evict under the victim shard's write lock, re-checking
             // identity by stamp: a concurrent remove + re-fill of the key
             // must never have its *new* entry evicted by this record.
-            let evicted = self.shard(&record.key).mutate(|map| {
-                if matches!(map.get(&record.key), Some(Slot::Ready(e)) if e.meta.stamp == record.stamp)
-                {
-                    map.remove(&record.key);
-                    true
-                } else {
-                    false
-                }
-            });
+            let victim = self.shard(&record.key).remove_if(
+                &record.key,
+                |slot| matches!(slot, Slot::Ready(e) if e.meta.stamp == record.stamp),
+            );
             ev.live.remove(&record.key);
-            if evicted {
+            if victim.is_some() {
                 self.counters.ready.fetch_sub(1, Ordering::Relaxed);
                 self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -923,8 +749,7 @@ where
     pub fn snapshot(&self) -> Vec<Arc<V>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let map = Arc::clone(&*shard.map.lock());
-            out.extend(map.values().filter_map(|slot| match slot {
+            out.extend(shard.map.read().values().filter_map(|slot| match slot {
                 Slot::Ready(e) => Some(Arc::clone(&e.value)),
                 Slot::InFlight(_) => None,
             }));
@@ -940,7 +765,7 @@ where
             .iter()
             .map(|s| {
                 s.map
-                    .lock()
+                    .read()
                     .values()
                     .filter(|slot| matches!(slot, Slot::Ready(_)))
                     .count()
@@ -1012,21 +837,13 @@ where
     }
 }
 
-impl<K, V> Default for ShardedCache<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+impl<K: Eq + Hash + Clone, V> Default for ShardedCache<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K, V> std::fmt::Debug for ShardedCache<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+impl<K: Eq + Hash + Clone, V> std::fmt::Debug for ShardedCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCache")
             .field("shards", &self.shards.len())
@@ -1434,26 +1251,92 @@ mod tests {
         let occupied = cache
             .shards
             .iter()
-            .filter(|s| !s.map.lock().is_empty())
+            .filter(|s| !s.map.read().is_empty())
             .count();
         assert!(occupied >= 12, "only {occupied}/16 shards occupied");
     }
 
     #[test]
-    fn cross_thread_visibility_through_generation_refresh() {
-        // A value inserted on one thread is visible to a fresh thread
-        // (cold TLS) and to this thread after the generation bump.
+    fn cross_thread_visibility() {
+        // A value inserted on one thread is visible to another thread,
+        // and every later mutation is visible to the next lookup.
         let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::new());
         cache.insert(5, Arc::new(50));
         assert_eq!(*cache.get(&5).expect("same-thread read"), 50);
         let c2 = Arc::clone(&cache);
         let handle = std::thread::spawn(move || c2.get(&5).map(|v| *v));
         assert_eq!(handle.join().expect("reader thread"), Some(50));
-        // Mutate and re-read on this thread: the bump invalidates the
-        // cached snapshot immediately.
         cache.insert(5, Arc::new(51));
         assert_eq!(*cache.get(&5).expect("post-update read"), 51);
         cache.remove(&5);
         assert!(cache.get(&5).is_none(), "removal visible immediately");
+    }
+
+    /// `n` keys other than `key` that hash to `key`'s shard.
+    fn same_shard_keys(cache: &ShardedCache<u64, u64>, key: u64, n: usize) -> Vec<u64> {
+        let shard = cache.shard_index(&key);
+        (key + 1..)
+            .filter(|k| cache.shard_index(k) == shard)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn a_fill_does_not_copy_its_shard() {
+        // A fill is one in-place insert: the other entries of its shard
+        // are neither cloned into a new map nor pinned by a reader-side
+        // copy, so a held value's reference count does not move.
+        let cache: ShardedCache<u64, u64> = ShardedCache::new();
+        let other = same_shard_keys(&cache, 0, 1)[0];
+        cache.insert(0, Arc::new(0));
+        let held = cache.get(&0).expect("resident");
+        let before = Arc::strong_count(&held);
+        let (_, outcome) = cache.get_or_compute(&other, || 1);
+        assert_eq!(outcome, CacheOutcome::Computed);
+        assert_eq!(
+            Arc::strong_count(&held),
+            before,
+            "filling a same-shard key copied the shard's entries"
+        );
+    }
+
+    #[test]
+    fn compute_runs_outside_every_shard_lock() {
+        // A computation that reads, fills, snapshots and counts keys of
+        // its own shard would self-deadlock if the fill held any shard
+        // lock across it. Run it on a helper thread so a regression fails
+        // the test instead of hanging the suite.
+        let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::new());
+        let keys = same_shard_keys(&cache, 0, 2);
+        cache.insert(keys[0], Arc::new(10));
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let found = cache.get_or_compute(&0, || {
+                    assert_eq!(cache.get(&keys[0]).map(|v| *v), Some(10));
+                    let (inner, _) = cache
+                        .try_get_or_compute(&keys[1], || Ok::<u64, ()>(20))
+                        .expect("nested fill");
+                    assert_eq!(*inner, 20);
+                    assert_eq!(cache.snapshot().len(), 2);
+                    assert_eq!(cache.len(), 2);
+                    7
+                });
+                let _ = done.send(());
+                (*found.0, found.1)
+            })
+        };
+        // A panic inside the worker disconnects the channel; only a
+        // timeout means it is stuck on a lock.
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "compute blocked on a shard lock"
+        );
+        let result = worker.join().expect("nested cache calls inside compute");
+        assert_eq!(result, (7, CacheOutcome::Computed));
+        assert_eq!(cache.len(), 3);
+        cache.check_invariants().expect("invariants");
     }
 }

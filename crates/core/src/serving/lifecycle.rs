@@ -13,9 +13,10 @@
 //!   the warm caches and emits a final [`DrainReport`].
 //! * **Live snapshots** ([`Snapshotter`]): a background thread that
 //!   periodically persists the program caches of a *running* engine.
-//!   The cache read is the lock-free published-`Arc` snapshot
-//!   ([`crate::ShardedCache::snapshot`]), so serving workers never stall
-//!   on the snapshotter; the write is the atomic generation commit of
+//!   The cache read ([`crate::ShardedCache::snapshot`]) takes each
+//!   shard's read lock only while it clones that shard's `Arc`s, so
+//!   serving lookups share it and never stall on the snapshotter; the
+//!   write is the atomic generation commit of
 //!   [`crate::Engine::save_program_caches`], so a crash mid-snapshot
 //!   never tears the durable state.
 //!
@@ -182,8 +183,8 @@ pub struct SnapshotStats {
 /// A background thread that periodically persists a running engine's
 /// program caches into a snapshot directory.
 ///
-/// Reads are the caches' lock-free published-`Arc` snapshots and writes
-/// are atomic generation commits, so serving is never stalled and the
+/// Reads clone each cache shard's `Arc`s under its shared read lock and
+/// writes are atomic generation commits, so serving is never stalled and the
 /// directory is always a complete committed generation. [`Snapshotter::stop`]
 /// takes one final snapshot before joining — stopping the snapshotter
 /// *is* the "persist caches" step of a graceful drain.

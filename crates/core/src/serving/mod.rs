@@ -28,7 +28,7 @@
 //!   layers above together.
 //! * [`lifecycle`] — long-lived-process concerns: graceful drain
 //!   ([`Lifecycle`], [`DrainReport`]) and live warm-state snapshots
-//!   ([`Snapshotter`]) taken off the lock-free cache read path.
+//!   ([`Snapshotter`]) read under the cache's shared shard locks.
 //! * [`report`] — [`ServingReport`], latency summaries, per-tenant
 //!   stats, and the telemetry emission shared by both dispatchers.
 //!

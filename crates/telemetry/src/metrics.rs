@@ -10,9 +10,10 @@
 //!
 //! Histograms bucket by `floor(log2(v)) + 1`: bucket `b` holds values in
 //! `[2^(b-1), 2^b)`. Percentile readout returns the inclusive upper bound
-//! of the bucket containing the nearest-rank sample, so an estimate `e`
-//! for an exact percentile `x` always satisfies `x <= e < 2x` — within one
-//! bucket width, which the property tests pin down.
+//! of the bucket containing the nearest-rank sample, clamped to the
+//! largest recorded sample, so an estimate `e` for an exact percentile
+//! `x` always satisfies `x <= e < 2x` — within one bucket width — and
+//! never exceeds the recorded max. The property tests pin down both.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -79,11 +80,11 @@ pub struct LatencyStats {
     pub clock: Clock,
     /// Samples recorded.
     pub count: u64,
-    /// Median (bucket upper bound).
+    /// Median (bucket upper bound, clamped to `max_ns`).
     pub p50_ns: f64,
-    /// 95th percentile (bucket upper bound).
+    /// 95th percentile (bucket upper bound, clamped to `max_ns`).
     pub p95_ns: f64,
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile (bucket upper bound, clamped to `max_ns`).
     pub p99_ns: f64,
     /// Largest recorded sample (exact).
     pub max_ns: f64,
@@ -196,7 +197,8 @@ impl Histogram {
     }
 
     /// The nearest-rank percentile, reported as the inclusive upper bound
-    /// of the bucket holding that rank (0 when empty). `p` in `[0, 1]`.
+    /// of the bucket holding that rank clamped to the largest recorded
+    /// sample (0 when empty). `p` in `[0, 1]`.
     pub fn percentile_ns(&self, p: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
@@ -211,13 +213,14 @@ impl Histogram {
         // round((n - 1) * p) of the ascending order.
         let rank = ((total - 1) as f64 * p.clamp(0.0, 1.0)).round() as u64;
         let mut seen = 0u64;
-        for (b, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen > rank {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(HISTOGRAM_BUCKETS - 1)
+        let bucket = counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen > rank
+            })
+            .unwrap_or(HISTOGRAM_BUCKETS - 1);
+        bucket_upper(bucket).min(self.max_ns.load(Ordering::Relaxed))
     }
 
     /// Snapshot of the standard readout.

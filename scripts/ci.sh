@@ -142,4 +142,25 @@ grep -q "restore:" "$smoke_dir/restore.txt" || {
   exit 1
 }
 
+# Benchmark package: perfbench is a Cargo workspace of its own (path
+# dependencies on crates/), so the workspace test run above does not
+# reach its tests.
+echo "==> cargo test (perfbench)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
+# Benchmark smoke: one second of the cold-gpu workload, where nearly
+# every lookup fills a bounded program cache that evicts. perfbench
+# checks every program it reads back from the cache (coverage, plus
+# execution against the reference GEMM) and reports the verdict as
+# "correct" on its last stdout line, so a cache change that serves an
+# evicted or uncovered program fails here.
+echo "==> perfbench smoke: cold-gpu, 1 s"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload cold-gpu --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench.txt"
+tail -n 1 "$smoke_dir/perfbench.txt" | grep -q '"correct": true' || {
+  echo "error: perfbench cold-gpu smoke did not report \"correct\": true" >&2
+  tail -n 2 "$smoke_dir/perfbench.txt" >&2
+  exit 1
+}
+
 echo "CI green."

@@ -1,6 +1,7 @@
 //! Telemetry histogram integrity: the log2-bucketed percentile readout
-//! must track the exact sorted-slice percentiles within one bucket width,
-//! and parallel recording must never lose a count.
+//! must track the exact sorted-slice percentiles within one bucket width
+//! and never exceed the recorded max, and parallel recording must never
+//! lose a count.
 
 use std::sync::Arc;
 
@@ -51,6 +52,33 @@ proptest! {
             stats.mean_ns,
             mean
         );
+    }
+
+    /// For any sample set and any `p`, the readout never exceeds the
+    /// largest recorded sample: a bucket's upper bound is clamped to the
+    /// max, so a p95 can no longer read 262 µs over a 188 µs maximum.
+    #[test]
+    fn percentile_readout_never_exceeds_max(
+        values in proptest::collection::vec(
+            (0u32..52, 0u64..u64::MAX).prop_map(|(e, raw)| raw % (1u64 << e).max(1)),
+            1..400,
+        ),
+        p in 0.0f64..=1.0,
+    ) {
+        let hist = Histogram::new(Clock::Real);
+        for &v in &values {
+            hist.record(v);
+        }
+        let max = *values.iter().max().expect("non-empty");
+        prop_assert!(
+            hist.percentile_ns(p) <= max,
+            "p{p}: readout {} exceeds max {max}",
+            hist.percentile_ns(p)
+        );
+        let stats = hist.stats();
+        for readout in [stats.p50_ns, stats.p95_ns, stats.p99_ns] {
+            prop_assert!(readout <= stats.max_ns, "readout {readout} > max {}", stats.max_ns);
+        }
     }
 }
 
