@@ -305,7 +305,7 @@ fn serve(machine: MachineModel, args: &[String], mode: ServeMode) {
         .collect();
 
     // Batching and tenancy are strictly opt-in: without the flags the
-    // options below are the defaults and the solo dispatcher runs.
+    // options below are the defaults and the solo policy runs.
     let options = ServingOptions {
         batching: batch_window_us.map(|us| BatchingOptions::new(us * 1e3, max_batch)),
         tenancy: (tenants > 1).then(|| {

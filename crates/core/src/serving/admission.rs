@@ -92,10 +92,10 @@ impl TenantPolicy {
     }
 }
 
-/// Wait-queue accounting shared by the solo and batched dispatchers.
+/// Wait-queue accounting for the dispatcher's arrival-ordered replay.
 ///
 /// Entries are the *service-start times* of admitted requests that had
-/// to wait. Starts are monotone non-decreasing across tickets, so the
+/// to wait. Starts are monotone non-decreasing in arrival order, so the
 /// front entries with `start <= arrival` have begun service by the time
 /// a later request arrives — expiring them yields the exact global and
 /// per-tenant queue depths at that arrival instant.

@@ -8,7 +8,7 @@
 //!   to its normal disposition. Nothing is lost silently: every request
 //!   still terminates with exactly one disposition and a retained
 //!   flight-recorder chain, the batching windows flush (the batched
-//!   dispatcher drains its buckets at stream end by construction), and
+//!   policy drains its buckets at stream end by construction), and
 //!   [`ServingRuntime::drain`](super::ServingRuntime::drain) persists
 //!   the warm caches and emits a final [`DrainReport`].
 //! * **Live snapshots** ([`Snapshotter`]): a background thread that
@@ -24,8 +24,9 @@
 //! pins it to a *virtual* timestamp, making the shed set a pure function
 //! of each request's `arrival_ns` — deterministic and testable.
 //! [`Lifecycle::request_drain`] is the real-time trigger (a signal
-//! handler, an operator command): it closes admission at whatever ticket
-//! each worker grabs next, which is honest about what a live shutdown is.
+//! handler, an operator command): it closes admission for whichever
+//! request each worker pulls next, which is honest about what a live
+//! shutdown is; the requests already pulled and compiled still run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -3,7 +3,7 @@
 //! Everything observational lives here: the per-stream [`ServingReport`]
 //! with its disposition/latency/SLO summaries, per-tenant aggregation,
 //! the exact-percentile helper, and the span/metric/flight-recorder
-//! emission shared by the solo and batched dispatchers.
+//! emission shared by the solo and batched policies.
 
 use mikpoly_telemetry::{
     ChainRecord, Clock, Histogram, Lane, LatencyStats, SloEngine, SloObservation, SloPolicy,
@@ -305,7 +305,7 @@ pub(crate) fn describe_serving_metrics(registry: &mikpoly_telemetry::Registry) {
         ("serving.total_ns", "end-to-end virtual latency per request"),
         (
             "serving.waves",
-            "co-launch device waves dispatched by the batched dispatcher",
+            "co-launch device waves dispatched under the batched policy",
         ),
         (
             "serving.batch_size",
@@ -378,7 +378,7 @@ pub(crate) struct EmitContext {
     pub(crate) dispatch_ns: f64,
     /// Whether a tenant policy is configured (gates `serving.tenant.*`).
     pub(crate) tenancy: bool,
-    /// Whether the batched dispatcher produced this record.
+    /// Whether the batched policy produced this record.
     pub(crate) batched: bool,
 }
 

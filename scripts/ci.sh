@@ -163,4 +163,16 @@ tail -n 1 "$smoke_dir/perfbench.txt" | grep -q '"correct": true' || {
   exit 1
 }
 
+# The same smoke on burst-batched, which serves through the batched
+# placement policy (cold-gpu above runs solo), so both dispatch policies
+# are checked end to end.
+echo "==> perfbench smoke: burst-batched, 1 s"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload burst-batched --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench-batched.txt"
+tail -n 1 "$smoke_dir/perfbench-batched.txt" | grep -q '"correct": true' || {
+  echo "error: perfbench burst-batched smoke did not report \"correct\": true" >&2
+  tail -n 2 "$smoke_dir/perfbench-batched.txt" >&2
+  exit 1
+}
+
 echo "CI green."
