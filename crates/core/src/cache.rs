@@ -9,12 +9,13 @@
 //!
 //! * **Sharded in-place maps** — keys hash to one of [`DEFAULT_SHARDS`]
 //!   shards, each a `RwLock<HashMap>` mutated in place. A hit takes its
-//!   shard's read lock, clones the entry's `Arc`s and releases the lock;
-//!   lookups on different shards never contend, and hits on one shard
-//!   share it. Every mutation — a miss's in-flight install, a fill's
-//!   commit, [`ShardedCache::remove`], an eviction, a direct insert —
-//!   holds the write lock for one O(1) insert or remove, so a fill costs
-//!   the cache a few hash-map operations however full its shard is.
+//!   shard's read lock, counts the hit, clones the value's `Arc` and
+//!   releases the lock; lookups on different shards never contend, and
+//!   hits on one shard share it. Every mutation — a miss's in-flight
+//!   install, a fill's commit, [`ShardedCache::remove`], an eviction, a
+//!   direct insert — holds the write lock for one O(1) insert or remove,
+//!   so a fill costs the cache a few hash-map operations however full its
+//!   shard is.
 //! * **Single flight** — a miss installs an in-flight slot before
 //!   computing. Concurrent misses on the same key find the slot and block
 //!   on its condvar instead of re-running the computation; exactly one
@@ -234,11 +235,23 @@ enum Slot<V> {
     InFlight(Arc<Flight<V>>),
 }
 
-impl<V> Clone for Slot<V> {
-    fn clone(&self) -> Self {
+/// A slot as a lookup takes it out of its shard: the ready value, or the
+/// flight to await. The entry's metadata stays behind.
+enum Found<V> {
+    Ready(Arc<V>),
+    InFlight(Arc<Flight<V>>),
+}
+
+impl<V> Slot<V> {
+    /// Clones out what a lookup needs, showing a ready entry's metadata
+    /// to `on_hit` in place, so a hit clones one `Arc`.
+    fn found(&self, on_hit: impl FnOnce(&EntryMeta)) -> Found<V> {
         match self {
-            Slot::Ready(e) => Slot::Ready(e.clone()),
-            Slot::InFlight(f) => Slot::InFlight(Arc::clone(f)),
+            Slot::Ready(e) => {
+                on_hit(&e.meta);
+                Found::Ready(Arc::clone(&e.value))
+            }
+            Slot::InFlight(f) => Found::InFlight(Arc::clone(f)),
         }
     }
 }
@@ -324,17 +337,18 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
         }
     }
 
-    /// `key`'s slot (cloned `Arc`s), read under the shared lock.
-    fn get(&self, key: &K) -> Option<Slot<V>> {
-        self.map.read().get(key).cloned()
+    /// `key`'s slot, read under the shared lock; `on_hit` sees a ready
+    /// entry's metadata.
+    fn get(&self, key: &K, on_hit: impl FnOnce(&EntryMeta)) -> Option<Found<V>> {
+        self.map.read().get(key).map(|slot| slot.found(on_hit))
     }
 
     /// The miss path's role decision under the write lock: the slot some
     /// other thread installed meanwhile, or a fresh in-flight slot that
     /// this caller now leads.
-    fn claim(&self, key: &K) -> Result<Arc<Flight<V>>, Slot<V>> {
+    fn claim(&self, key: &K, on_hit: impl FnOnce(&EntryMeta)) -> Result<Arc<Flight<V>>, Found<V>> {
         match self.map.write().entry(key.clone()) {
-            Entry::Occupied(slot) => Err(slot.get().clone()),
+            Entry::Occupied(slot) => Err(slot.get().found(on_hit)),
             Entry::Vacant(vacant) => {
                 let flight = Arc::new(Flight {
                     state: Mutex::new(FlightState::Pending),
@@ -529,11 +543,8 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
 
     /// Looks `key` up without filling; counts as a hit when present.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        match self.shard(key).get(key) {
-            Some(Slot::Ready(e)) => {
-                self.note_hit(&e.meta);
-                Some(e.value)
-            }
+        match self.shard(key).get(key, |meta| self.note_hit(meta)) {
+            Some(Found::Ready(value)) => Some(value),
             _ => None,
         }
     }
@@ -564,19 +575,17 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
             // A hit or a visible flight needs only the read lock; a miss
             // decides its role again under the write lock, where exactly
             // one thread installs the in-flight slot.
-            let found = match shard.get(key) {
-                Some(slot) => slot,
-                None => match shard.claim(key) {
+            let on_hit = |meta: &EntryMeta| self.note_hit(meta);
+            let found = match shard.get(key, on_hit) {
+                Some(found) => found,
+                None => match shard.claim(key, on_hit) {
                     Ok(flight) => break flight,
-                    Err(slot) => slot,
+                    Err(found) => found,
                 },
             };
             match found {
-                Slot::Ready(e) => {
-                    self.note_hit(&e.meta);
-                    return Ok((e.value, CacheOutcome::Hit));
-                }
-                Slot::InFlight(flight) => {
+                Found::Ready(value) => return Ok((value, CacheOutcome::Hit)),
+                Found::InFlight(flight) => {
                     if let Some(v) = self.await_flight(&flight) {
                         return Ok((v, CacheOutcome::Waited));
                     }

@@ -14,7 +14,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -112,6 +112,27 @@ pub enum CompileGrade {
     Degraded,
 }
 
+/// A program-cache value: the compiled program plus its simulated device
+/// time. Serving simulates in noise-free [`TimingMode::Evaluate`], so the
+/// time is a pure function of the program. It is simulated on the first
+/// read, after the compile has been timed (never inside the single-flight
+/// fill), and it lives and dies with the slot: eviction, poison removal
+/// and a cache reset drop it, and it is never persisted.
+#[derive(Debug)]
+pub(crate) struct CachedProgram {
+    program: Arc<CompiledProgram>,
+    device_ns: OnceLock<f64>,
+}
+
+impl CachedProgram {
+    fn new(program: CompiledProgram) -> Self {
+        Self {
+            program: Arc::new(program),
+            device_ns: OnceLock::new(),
+        }
+    }
+}
+
 /// Outcome of one budgeted compilation.
 #[derive(Debug, Clone)]
 pub struct CompileReply {
@@ -124,6 +145,26 @@ pub struct CompileReply {
     /// Poisoned cache entries evicted and recompiled on the way (only
     /// non-zero under an active fault plan).
     pub poison_retries: u32,
+    /// The cache slot `program` came from, which carries its device-time
+    /// memo.
+    slot: Arc<CachedProgram>,
+}
+
+impl CompileReply {
+    fn new(
+        slot: Arc<CachedProgram>,
+        outcome: CacheOutcome,
+        grade: CompileGrade,
+        poison_retries: u32,
+    ) -> Self {
+        Self {
+            program: Arc::clone(&slot.program),
+            outcome,
+            grade,
+            poison_retries,
+            slot,
+        }
+    }
 }
 
 /// One operator execution: the compiled program, the device timing, and the
@@ -193,11 +234,11 @@ pub struct MikPoly {
     machine: MachineModel,
     library: Arc<MicroKernelLibrary>,
     options: OnlineOptions,
-    cache: ShardedCache<Operator, CompiledProgram>,
+    cache: ShardedCache<Operator, CachedProgram>,
     /// Programs from the degraded fallback path, cached separately: a
     /// degraded plan must never shadow (or be shadowed by) the full
     /// search's plan for the same shape.
-    degraded: ShardedCache<Operator, CompiledProgram>,
+    degraded: ShardedCache<Operator, CachedProgram>,
     /// Deterministic fault-injection schedule; `None` (production) makes
     /// every fault hook a no-op.
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
@@ -423,16 +464,17 @@ impl MikPoly {
         let mut poison_retries = 0u32;
         loop {
             let deadline_cut = Cell::new(false);
-            let attempt = if self.options.cache {
-                self.cache.try_get_or_compute(operator, || {
-                    self.try_compile_uncached(operator, deadline, &deadline_cut)
-                })
-            } else {
+            let compute = || {
                 self.try_compile_uncached(operator, deadline, &deadline_cut)
-                    .map(|p| (Arc::new(p), CacheOutcome::Computed))
+                    .map(CachedProgram::new)
             };
-            let (program, outcome) = attempt?;
-            if validate && program.verify_coverage().is_err() {
+            let attempt = if self.options.cache {
+                self.cache.try_get_or_compute(operator, compute)
+            } else {
+                compute().map(|slot| (Arc::new(slot), CacheOutcome::Computed))
+            };
+            let (slot, outcome) = attempt?;
+            if validate && slot.program.verify_coverage().is_err() {
                 // Poisoned entry: evict and recompile. The fault schedule
                 // corrupts only a shape's first compile, so the retry
                 // normally comes back clean; the cap bounds the pathological
@@ -452,12 +494,7 @@ impl MikPoly {
             } else {
                 CompileGrade::Full
             };
-            return Ok(CompileReply {
-                program,
-                outcome,
-                grade,
-                poison_retries,
-            });
+            return Ok(CompileReply::new(slot, outcome, grade, poison_retries));
         }
     }
 
@@ -468,20 +505,21 @@ impl MikPoly {
         operator: &Operator,
         poison_retries: u32,
     ) -> Result<CompileReply, MikPolyError> {
-        let (program, outcome) = self.degraded.try_get_or_compute(operator, || {
+        let (slot, outcome) = self.degraded.try_get_or_compute(operator, || {
             polymerize_degraded(
                 &self.machine,
                 &self.library,
                 &operator.gemm_view(),
                 *operator,
             )
+            .map(CachedProgram::new)
         })?;
-        Ok(CompileReply {
-            program,
+        Ok(CompileReply::new(
+            slot,
             outcome,
-            grade: CompileGrade::Degraded,
+            CompileGrade::Degraded,
             poison_retries,
-        })
+        ))
     }
 
     /// Counter snapshot of the program cache (hits, polymerizations,
@@ -561,8 +599,8 @@ impl MikPoly {
     /// writes. Snapshots Arc clones shard by shard, so concurrent
     /// compiles proceed during encoding (no cache lock is held).
     pub fn encode_program_cache(&self) -> Vec<u8> {
-        let programs: Vec<Arc<CompiledProgram>> = self.cache.snapshot();
-        crate::persist::encode_bundle(programs.iter().map(|p| &**p))
+        let slots = self.cache.snapshot();
+        crate::persist::encode_bundle(slots.iter().map(|s| &*s.program))
     }
 
     /// Persists the program cache in the legacy (version 1) JSON format —
@@ -577,8 +615,8 @@ impl MikPoly {
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<()> {
-        let programs: Vec<Arc<CompiledProgram>> = self.cache.snapshot();
-        let refs: Vec<&CompiledProgram> = programs.iter().map(|p| &**p).collect();
+        let slots = self.cache.snapshot();
+        let refs: Vec<&CompiledProgram> = slots.iter().map(|s| &*s.program).collect();
         let json = serde_json::to_string(&refs).map_err(std::io::Error::other)?;
         std::fs::write(path, json)
     }
@@ -645,11 +683,8 @@ impl MikPoly {
             self.validate_restored_program(p)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         }
-        let count = programs.len();
         // Validation done; the bulk insert republishes each shard once.
-        self.cache
-            .insert_many(programs.into_iter().map(|p| (p.operator, Arc::new(p))));
-        Ok(count)
+        Ok(self.adopt_restored_programs(programs))
     }
 
     /// Checks that a restored program's kernels all exist in this
@@ -671,8 +706,11 @@ impl MikPoly {
     /// cache's one-republish-per-shard path. Used by the salvage loader.
     pub(crate) fn adopt_restored_programs(&self, programs: Vec<CompiledProgram>) -> usize {
         let count = programs.len();
-        self.cache
-            .insert_many(programs.into_iter().map(|p| (p.operator, Arc::new(p))));
+        self.cache.insert_many(
+            programs
+                .into_iter()
+                .map(|p| (p.operator, Arc::new(CachedProgram::new(p)))),
+        );
         count
     }
 
@@ -849,6 +887,9 @@ impl MikPoly {
     /// device simulation, with the `online.compile` span, the
     /// `online.compile_ns` / `cache.wait_ns` histograms, and the
     /// `compile.degraded` / `cache.poisoned` fault counters recorded.
+    /// Every call simulates, to return the full [`SimReport`]; the
+    /// serving path ([`crate::Engine::try_plan_graph`]) reads only the
+    /// device time, from the cache slot's memo.
     ///
     /// # Errors
     ///
@@ -860,6 +901,26 @@ impl MikPoly {
         operator: &Operator,
         budget: CompileBudget,
     ) -> Result<OperatorRun, MikPolyError> {
+        let (reply, compile_ns) = self.try_compile_timed(operator, budget)?;
+        let report = self.try_simulate(&reply.program)?;
+        Ok(OperatorRun {
+            program: reply.program,
+            report,
+            compile_ns,
+            outcome: reply.outcome,
+            grade: reply.grade,
+        })
+    }
+
+    /// [`MikPoly::try_compile`] under the `online.compile` span, returning
+    /// the reply with the wall-clock it charged as compile time (0 on a
+    /// hit) and recording the `online.compile_ns` / `cache.wait_ns`
+    /// histograms and the `compile.degraded` / `cache.poisoned` counters.
+    pub(crate) fn try_compile_timed(
+        &self,
+        operator: &Operator,
+        budget: CompileBudget,
+    ) -> Result<(CompileReply, u128), MikPolyError> {
         let start = Instant::now();
         let reply = {
             let mut span = span!(self.telemetry, "online.compile", op = operator.to_string());
@@ -904,14 +965,23 @@ impl MikPoly {
                     .add(u64::from(reply.poison_retries));
             }
         }
-        let report = self.try_simulate(&reply.program)?;
-        Ok(OperatorRun {
-            program: reply.program,
-            report,
-            compile_ns,
-            outcome: reply.outcome,
-            grade: reply.grade,
-        })
+        Ok((reply, compile_ns))
+    }
+
+    /// Simulated device time of a reply's program, ns: read from its cache
+    /// slot's memo, or simulated and memoized on the slot's first read.
+    /// Bit-identical to `self.simulate(&reply.program).time_ns`.
+    ///
+    /// # Errors
+    ///
+    /// [`MikPolyError::MalformedLaunch`], as [`MikPoly::try_simulate`]; a
+    /// rejected launch is not memoized.
+    pub(crate) fn try_device_ns(&self, reply: &CompileReply) -> Result<f64, MikPolyError> {
+        if let Some(&ns) = reply.slot.device_ns.get() {
+            return Ok(ns);
+        }
+        let ns = self.try_simulate(&reply.program)?.time_ns;
+        Ok(*reply.slot.device_ns.get_or_init(|| ns))
     }
 
     /// The Oracle of Fig. 12(b): exhaustively simulates every strategy and
@@ -1047,6 +1117,48 @@ mod tests {
         assert_eq!(stats.computations, 1, "stampede: {stats:?}");
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits + stats.coalesced_waits, 7);
+    }
+
+    /// The device-time memo of `op`'s resident slot, read from a snapshot
+    /// (a lookup would count as a hit and reorder eviction).
+    fn memo(c: &MikPoly, op: &Operator) -> Option<Option<f64>> {
+        c.cache
+            .snapshot()
+            .iter()
+            .find(|s| s.program.operator == *op)
+            .map(|s| s.device_ns.get().copied())
+    }
+
+    #[test]
+    fn device_time_memo_fills_on_first_read_and_dies_with_its_slot() {
+        let c = compiler().with_options(OnlineOptions {
+            cache_capacity: Some(1),
+            ..OnlineOptions::default()
+        });
+        let a = Operator::gemm(GemmShape::new(777, 512, 256));
+        let b = Operator::gemm(GemmShape::new(300, 300, 300));
+        let (reply, compile_ns) = c.try_compile_timed(&a, CompileBudget::default()).unwrap();
+        assert!(compile_ns > 0);
+        assert_eq!(memo(&c, &a), Some(None), "the fill does not simulate");
+        let ns = c.try_device_ns(&reply).unwrap();
+        assert_eq!(ns.to_bits(), c.simulate(&reply.program).time_ns.to_bits());
+        assert_eq!(memo(&c, &a), Some(Some(ns)));
+        // Eviction drops the memo with the slot; the refill starts empty.
+        c.try_compile(&b, CompileBudget::default()).unwrap();
+        assert_eq!(memo(&c, &a), None, "a was evicted");
+        let refill = c.try_compile(&a, CompileBudget::default()).unwrap();
+        assert_eq!(refill.outcome, CacheOutcome::Computed);
+        assert_eq!(memo(&c, &a), Some(None));
+        // A restored program simulates on its first hit.
+        let restored = MikPoly::with_library(c.machine().clone(), c.library().clone());
+        restored
+            .load_program_cache_bytes(&c.encode_program_cache())
+            .unwrap();
+        assert_eq!(memo(&restored, &a), Some(None), "memos are not persisted");
+        // A cache reset drops every memo.
+        assert_eq!(c.try_device_ns(&refill).unwrap().to_bits(), ns.to_bits());
+        let c = c.with_options(OnlineOptions::default());
+        assert_eq!(memo(&c, &a), None);
     }
 
     #[test]

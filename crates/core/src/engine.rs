@@ -266,6 +266,16 @@ impl Engine {
         operator: &Operator,
         budget: CompileBudget,
     ) -> Result<EngineRun, MikPolyError> {
+        let (dispatched, compiler) = self.route(operator);
+        Ok(EngineRun {
+            dispatched,
+            run: compiler.try_run(&dispatched, budget)?,
+        })
+    }
+
+    /// The operator dispatched for a request, after algorithm selection,
+    /// and the template compiler that owns it.
+    fn route(&self, operator: &Operator) -> (Operator, &MikPoly) {
         let dispatched = self.select(operator);
         let compiler = match dispatched {
             // Winograd's transform-domain GEMMs have plain GEMM access
@@ -273,10 +283,7 @@ impl Engine {
             Operator::Conv2d { .. } => &self.conv,
             _ => &self.gemm,
         };
-        Ok(EngineRun {
-            dispatched,
-            run: compiler.try_run(&dispatched, budget)?,
-        })
+        (dispatched, compiler)
     }
 
     /// Runs a weighted operator list (one forward pass): each `(operator,
@@ -308,7 +315,11 @@ impl Engine {
 
     /// Like [`Engine::try_run_graph`], but also retains each operator's
     /// device launches so the caller can co-launch the request with
-    /// others (see [`crate::serving::colaunch`]).
+    /// others (see [`crate::serving::colaunch`]). This is the serving
+    /// path: each operator's device time is read from its program-cache
+    /// slot, where it is simulated once per cached program, on the first
+    /// read after the compile was timed — so it is never charged as
+    /// compile time.
     ///
     /// # Errors
     ///
@@ -320,26 +331,28 @@ impl Engine {
     ) -> Result<GraphPlan, MikPolyError> {
         let mut out = GraphPlan::default();
         for (op, count) in ops {
-            let result = self.try_run_operator(op, budget)?;
-            out.run.device_ns += result.run.report.time_ns * count as f64;
-            out.run.compile_ns += result.run.compile_ns;
-            match result.run.outcome {
+            let (dispatched, compiler) = self.route(op);
+            let (reply, compile_ns) = compiler.try_compile_timed(&dispatched, budget)?;
+            let solo_ns = compiler.try_device_ns(&reply)?;
+            out.run.device_ns += solo_ns * count as f64;
+            out.run.compile_ns += compile_ns;
+            match reply.outcome {
                 CacheOutcome::Hit => {}
                 CacheOutcome::Computed => {
                     out.run.compilations += 1;
-                    out.run.search_ns += result.run.program.stats.search_ns;
+                    out.run.search_ns += reply.program.stats.search_ns;
                 }
-                CacheOutcome::Waited => out.run.cache_wait_ns += result.run.compile_ns,
+                CacheOutcome::Waited => out.run.cache_wait_ns += compile_ns,
             }
-            if result.run.grade == CompileGrade::Degraded {
+            if reply.grade == CompileGrade::Degraded {
                 out.run.degraded += 1;
             }
             out.run.executions += count;
             out.ops.push(OpPlan {
-                launch: self.launch_for(&result.run.program),
-                reduction: result.run.program.reduction_launch(),
+                launch: compiler.launch_for(&reply.program),
+                reduction: reply.program.reduction_launch(),
                 count,
-                solo_ns: result.run.report.time_ns,
+                solo_ns,
             });
         }
         Ok(out)
@@ -827,5 +840,170 @@ mod tests {
             &options.clone().with_template(TemplateKind::Conv),
         ));
         let _ = Engine::from_compilers(MachineModel::a100(), gemm, conv);
+    }
+}
+
+/// The device-time memo on the serving path: whatever route a program
+/// took into its cache slot, the device time [`Engine::try_plan_graph`]
+/// reports is the program's own, bit for bit.
+#[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use crate::compiler::OnlineOptions;
+    use accel_sim::FaultPlan;
+    use tensor_ir::GemmShape;
+
+    /// Two shapes; on both machines the first one's searched and
+    /// single-kernel programs differ in device time.
+    fn ops() -> [Operator; 2] {
+        [
+            Operator::gemm(GemmShape::new(333, 4000, 128)),
+            Operator::gemm(GemmShape::new(1000, 300, 200)),
+        ]
+    }
+
+    fn machines() -> [MachineModel; 2] {
+        [MachineModel::a100(), MachineModel::ascend910a()]
+    }
+
+    fn library(machine: &MachineModel) -> crate::offline::MicroKernelLibrary {
+        let mut options = OfflineOptions::fast();
+        options.n_gen = 4;
+        crate::offline::MicroKernelLibrary::generate(machine, &options)
+    }
+
+    /// An engine over `library` whose GEMM compiler uses `online`.
+    fn engine(
+        machine: &MachineModel,
+        library: &crate::offline::MicroKernelLibrary,
+        online: OnlineOptions,
+    ) -> Engine {
+        let gemm = MikPoly::with_library(machine.clone(), library.clone()).with_options(online);
+        let conv = MikPoly::with_library(machine.clone(), library.clone());
+        Engine::from_compilers(machine.clone(), Arc::new(gemm), Arc::new(conv))
+    }
+
+    /// Plans `op` twice (the second read comes from the memo) and checks
+    /// both device times against a fresh simulation of the program the
+    /// cache answers with under `budget` — the program the plan ran,
+    /// which its launch confirms. Returns the plan.
+    fn assert_memo_matches(engine: &Engine, op: &Operator, budget: CompileBudget) -> GraphPlan {
+        let plan = engine
+            .try_plan_graph([(op, 1)], budget)
+            .expect("plan compiles");
+        let again = engine
+            .try_plan_graph([(op, 1)], budget)
+            .expect("replan hits");
+        let program = engine
+            .gemm_compiler()
+            .try_compile(op, budget)
+            .expect("resident program")
+            .program;
+        assert_eq!(plan.ops[0].launch, engine.launch_for(&program));
+        assert_eq!(plan.ops[0].reduction, program.reduction_launch());
+        let fresh = engine.simulate(&program).time_ns;
+        for p in [&plan, &again] {
+            assert_eq!(p.run.device_ns.to_bits(), fresh.to_bits(), "{op}");
+            assert_eq!(p.ops[0].solo_ns.to_bits(), fresh.to_bits(), "{op}");
+        }
+        plan
+    }
+
+    #[test]
+    fn poisoned_entries_never_serve_a_stale_device_time() {
+        for machine in machines() {
+            let engine = engine(&machine, &library(&machine), OnlineOptions::default());
+            engine.set_fault_plan(Some(Arc::new(FaultPlan {
+                cache_corrupt_rate: 1.0,
+                ..FaultPlan::none()
+            })));
+            for op in ops() {
+                assert_memo_matches(&engine, &op, CompileBudget::default());
+            }
+            let stats = engine.gemm_compiler().cache_stats();
+            assert_eq!(stats.invalidations, ops().len() as u64, "{}", machine.name);
+        }
+    }
+
+    #[test]
+    fn evicted_and_refilled_entries_simulate_their_own_program() {
+        for machine in machines() {
+            let bounded = OnlineOptions {
+                cache_capacity: Some(1),
+                ..OnlineOptions::default()
+            };
+            let engine = engine(&machine, &library(&machine), bounded);
+            let [a, b] = ops();
+            let plan = |op: &Operator| {
+                engine
+                    .try_plan_graph([(op, 1)], CompileBudget::default())
+                    .expect("plan compiles")
+            };
+            // Fills only: a hit would protect `a` from eviction.
+            let first = plan(&a);
+            plan(&b);
+            let refill = plan(&a);
+            assert_eq!(
+                refill.run.compilations, 1,
+                "{}: a was evicted",
+                machine.name
+            );
+            assert_eq!(engine.gemm_compiler().cache_stats().evictions, 2);
+            let checked = assert_memo_matches(&engine, &a, CompileBudget::default());
+            for p in [&first, &refill] {
+                assert_eq!(p.run.device_ns.to_bits(), checked.run.device_ns.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn restored_programs_simulate_on_their_first_hit() {
+        for machine in machines() {
+            let library = library(&machine);
+            let original = engine(&machine, &library, OnlineOptions::default());
+            let planned: Vec<GraphPlan> = ops()
+                .iter()
+                .map(|op| assert_memo_matches(&original, op, CompileBudget::default()))
+                .collect();
+            let restored = engine(&machine, &library, OnlineOptions::default());
+            let bundle = original.gemm_compiler().encode_program_cache();
+            let loaded = restored
+                .gemm_compiler()
+                .load_program_cache_bytes(&bundle)
+                .expect("bundle loads");
+            assert_eq!(loaded, ops().len());
+            for (op, before) in ops().iter().zip(&planned) {
+                let plan = assert_memo_matches(&restored, op, CompileBudget::default());
+                assert_eq!(plan.run.compilations, 0, "{op} restored warm");
+                assert_eq!(plan.run.device_ns.to_bits(), before.run.device_ns.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn degraded_programs_keep_a_memo_of_their_own() {
+        let degrade_only = CompileBudget {
+            deadline: None,
+            degrade_only: true,
+        };
+        for machine in machines() {
+            let engine = engine(&machine, &library(&machine), OnlineOptions::default());
+            for (i, op) in ops().iter().enumerate() {
+                let full = assert_memo_matches(&engine, op, CompileBudget::default());
+                let degraded = assert_memo_matches(&engine, op, degrade_only);
+                assert_eq!(degraded.run.degraded, 1);
+                if i == 0 {
+                    // One operator, two programs: a memo shared by
+                    // operator would report one program's time for the
+                    // other.
+                    assert_ne!(
+                        degraded.run.device_ns.to_bits(),
+                        full.run.device_ns.to_bits(),
+                        "{}: {op}",
+                        machine.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! emission shared by the solo and batched policies.
 
 use mikpoly_telemetry::{
-    ChainRecord, Clock, Histogram, Lane, LatencyStats, SloEngine, SloObservation, SloPolicy,
-    SloReport, SpanRecord, Telemetry,
+    ChainRecord, Clock, Lane, LatencyStats, SloEngine, SloObservation, SloPolicy, SloReport,
+    SpanRecord, Telemetry,
 };
 
 use super::request::{
@@ -161,29 +161,20 @@ impl ServingReport {
         executed.iter().sum::<usize>() as f64 / executed.len() as f64
     }
 
-    /// Summarizes the latency distribution and its decomposition by
-    /// feeding every record through the telemetry histogram type — one
+    /// Summarizes the latency distribution and its decomposition, one
     /// clock-labelled readout per phase, so real (compile) and virtual
     /// (queue/device/total) time can never be conflated in a summary.
-    /// Percentiles are log2-bucket estimates (within one bucket width of
-    /// exact — see [`percentile`] for the exact sorted-slice form); counts,
-    /// means, and maxima are exact.
+    /// Every statistic is exact: percentiles are [`percentile`] over the
+    /// sorted records.
     pub fn latency_summary(&self) -> LatencySummary {
-        let total = Histogram::new(Clock::Virtual);
-        let queue = Histogram::new(Clock::Virtual);
-        let compile = Histogram::new(Clock::Real);
-        let device = Histogram::new(Clock::Virtual);
-        for r in &self.records {
-            total.record_f64(r.timeline_total_ns());
-            queue.record_f64(r.queue_ns);
-            compile.record_f64(r.compile.real_ns());
-            device.record_f64(r.device_ns);
-        }
+        let stats = |clock, value: fn(&RequestRecord) -> f64| {
+            exact_stats(clock, self.records.iter().map(value).collect())
+        };
         LatencySummary {
-            total: total.stats(),
-            queue: queue.stats(),
-            compile: compile.stats(),
-            device: device.stats(),
+            total: stats(Clock::Virtual, RequestRecord::timeline_total_ns),
+            queue: stats(Clock::Virtual, |r| r.queue_ns),
+            compile: stats(Clock::Real, |r| r.compile.real_ns()),
+            device: stats(Clock::Virtual, |r| r.device_ns),
         }
     }
 
@@ -216,6 +207,23 @@ fn tally(counts: &mut DispositionCounts, disposition: Disposition) {
         Disposition::Degraded => counts.degraded += 1,
         Disposition::Shed => counts.shed += 1,
         Disposition::Failed => counts.failed += 1,
+    }
+}
+
+/// The exact readout of `values` measured on `clock`.
+fn exact_stats(clock: Clock, mut values: Vec<f64>) -> LatencyStats {
+    values.sort_by(f64::total_cmp);
+    let Some(&max_ns) = values.last() else {
+        return LatencyStats::empty(clock);
+    };
+    LatencyStats {
+        clock,
+        count: values.len() as u64,
+        p50_ns: percentile(&values, 0.50),
+        p95_ns: percentile(&values, 0.95),
+        p99_ns: percentile(&values, 0.99),
+        max_ns,
+        mean_ns: values.iter().sum::<f64>() / values.len() as f64,
     }
 }
 
@@ -547,7 +555,9 @@ pub(crate) fn emit_request_telemetry(
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use super::super::request::{shed_record, ShedReason};
     use super::*;
+    use tensor_ir::{GemmShape, Operator};
 
     #[test]
     fn percentile_nearest_rank() {
@@ -568,6 +578,40 @@ mod tests {
         assert_eq!(percentile(&[1.0, 2.0], 2.0), 2.0);
         assert_eq!(percentile(&[1.0, 2.0], -1.0), 1.0);
         assert_eq!(percentile(&[1.0, 2.0], f64::NAN), 1.0);
+    }
+
+    #[test]
+    fn latency_summary_percentiles_are_recorded_values() {
+        let records: Vec<RequestRecord> = (1..=100)
+            .rev()
+            .map(|i| {
+                let request = Request::single(i, 0.0, Operator::gemm(GemmShape::new(8, 8, 8)));
+                RequestRecord {
+                    device_ns: i as f64 * 1000.0 + 0.5,
+                    ..shed_record(&request, ShedReason::QueueFull)
+                }
+            })
+            .collect();
+        let report = ServingReport {
+            records,
+            workers: Vec::new(),
+            cache: CacheStats::default(),
+            makespan_ns: 1.0,
+            breaker_opens: 0,
+        };
+        let device = report.latency_summary().device;
+        // A log2 histogram would read p99 as a bucket edge, 131071.
+        assert_eq!(device.count, 100);
+        assert_eq!(device.p50_ns, 51_000.5);
+        assert_eq!(device.p99_ns, 99_000.5);
+        assert_eq!(device.max_ns, 100_000.5);
+        assert_eq!(device.mean_ns, 50_500.5);
+        assert_eq!(device.clock, Clock::Virtual);
+        let empty = ServingReport {
+            records: Vec::new(),
+            ..report
+        };
+        assert_eq!(empty.latency_summary().total.count, 0);
     }
 
     #[cfg(debug_assertions)]

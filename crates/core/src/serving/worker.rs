@@ -91,9 +91,10 @@ struct CompileOutcome {
     /// degraded fallback failed. Its per-op launches are kept only under
     /// the batched policy, which co-launches them.
     plan: Option<GraphPlan>,
-    /// Real wall-clock of the whole compile phase, ns (the graph's own
-    /// measurement on the clean path; the measured window including the
-    /// failed attempt when the fallback ran).
+    /// Real wall-clock of the compile phase, ns: the graph's own
+    /// measurement, plus the failed attempt's window when the fallback
+    /// ran. Device simulation is never charged here; when both attempts
+    /// failed, the whole window is.
     compile_ns: u128,
     /// Device-fault retries the request will pay for.
     retries: u32,
@@ -404,7 +405,8 @@ impl ServingRuntime {
         // `Degrade` decision short-circuits, a tripping failure opens,
         // and a successful half-open probe closes.
         let mut breaker_event = degrade_only.then_some("short-circuit");
-        let (plan, fell_back) = match run(budget) {
+        // On the fallback path, `failed_ns` is the failed attempt's window.
+        let (plan, failed_ns) = match run(budget) {
             Ok(Ok(plan)) => {
                 if !degrade_only {
                     if let Some(b) = breaker {
@@ -413,12 +415,13 @@ impl ServingRuntime {
                         }
                     }
                 }
-                (Some(plan), false)
+                (Some(plan), None)
             }
             // Typed failure or panic: both feed the breaker and fall
             // through to the search-free fallback, itself panic-isolated
             // so a poisoned shape cannot kill the worker.
             Ok(Err(_)) | Err(_) => {
+                let failed_ns = compile_start.elapsed().as_nanos();
                 if !degrade_only {
                     if let Some(b) = breaker {
                         if b.record_failure(key, request.arrival_ns) {
@@ -431,14 +434,16 @@ impl ServingRuntime {
                     degrade_only: true,
                 };
                 match run(fallback) {
-                    Ok(Ok(plan)) => (Some(plan), true),
-                    Ok(Err(_)) | Err(_) => (None, true),
+                    Ok(Ok(plan)) => (Some(plan), Some(failed_ns)),
+                    Ok(Err(_)) | Err(_) => (None, Some(failed_ns)),
                 }
             }
         };
-        let compile_ns = match (&plan, fell_back) {
-            (Some(plan), false) => plan.run.compile_ns,
-            _ => compile_start.elapsed().as_nanos(),
+        // Only compile work is charged: a plan's own `compile_ns` excludes
+        // the host time of its device simulations.
+        let compile_ns = match &plan {
+            Some(plan) => failed_ns.unwrap_or(0) + plan.run.compile_ns,
+            None => compile_start.elapsed().as_nanos(),
         };
         // Device faults are a pure function of (plan, request id, attempt),
         // so the whole retry schedule — and its virtual cost — is known
@@ -1530,5 +1535,45 @@ mod tests {
         let plain = ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 1)
             .serve(&[Request::single(0, 0.0, gemm(777, 512, 256))]);
         assert_eq!(plain.records[0].disposition, Disposition::Completed);
+    }
+
+    #[test]
+    fn fallback_charges_compile_work_not_device_simulation() {
+        // Every full compile panics at once, so each request falls back
+        // to single-kernel plans. Their large grids make the fallback's
+        // first-read device simulations far costlier than the failed
+        // attempt plus the search-free fallback compiles.
+        let engine = engine();
+        engine.set_fault_plan(Some(Arc::new(FaultPlan {
+            compile_panic_rate: 1.0,
+            panic_attempts: u32::MAX,
+            ..FaultPlan::none()
+        })));
+        let ops: Vec<(Operator, usize)> = (0..4)
+            .map(|i| (Operator::gemm(GemmShape::new(8192 + 64 * i, 8192, 256)), 1))
+            .collect();
+        let request = Request {
+            ops: ops.clone(),
+            ..Request::single(0, 0.0, ops[0].0)
+        };
+        let runtime = ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 1);
+        let outcome = runtime.compile_request(&request);
+        let plan = outcome.plan.expect("the fallback serves");
+        assert_eq!(plan.run.degraded, ops.len());
+        let degraded = CompileBudget {
+            deadline: None,
+            degrade_only: true,
+        };
+        let sim_start = Instant::now();
+        for (op, _) in &ops {
+            let program = engine.gemm_compiler().try_compile(op, degraded).unwrap();
+            engine.simulate(&program.program);
+        }
+        let sim_ns = sim_start.elapsed().as_nanos();
+        assert!(
+            outcome.compile_ns * 2 < sim_ns,
+            "charged {} ns of compile against {sim_ns} ns of simulation",
+            outcome.compile_ns
+        );
     }
 }

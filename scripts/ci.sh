@@ -175,4 +175,16 @@ tail -n 1 "$smoke_dir/perfbench-batched.txt" | grep -q '"correct": true' || {
   exit 1
 }
 
+# The same smoke on warm-bert, where every lookup hits a warm cache and
+# each operator's device time comes from its cache slot's memo: the
+# all-hit path the other two smokes barely reach.
+echo "==> perfbench smoke: warm-bert, 1 s"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload warm-bert --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench-warm.txt"
+tail -n 1 "$smoke_dir/perfbench-warm.txt" | grep -q '"correct": true' || {
+  echo "error: perfbench warm-bert smoke did not report \"correct\": true" >&2
+  tail -n 2 "$smoke_dir/perfbench-warm.txt" >&2
+  exit 1
+}
+
 echo "CI green."
