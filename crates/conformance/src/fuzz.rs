@@ -22,7 +22,8 @@ use serde::{Deserialize, Serialize};
 
 use accel_sim::{MachineModel, TimingMode};
 use mikpoly::{
-    execute_conv2d, execute_gemm, panic_reason, CacheOutcome, CompileBudget, MikPolyError,
+    execute_conv2d, execute_gemm, panic_reason, CacheOutcome, CompileBudget, FaultInjection,
+    MikPolyError,
 };
 use tensor_ir::{reference_conv2d, reference_gemm, Conv2dShape, GemmShape, Operator, Tensor};
 
@@ -440,10 +441,14 @@ pub fn run_case(env: &ConformanceEnv, case: &FuzzCase) -> Result<(), String> {
             // panic isolation plus one retry is exactly the serving
             // runtime's recovery contract, and poisoned-entry eviction
             // happens inside `try_compile` itself.
-            compiler.set_fault_plan(Some(std::sync::Arc::new(spec.plan())));
+            let faults = FaultInjection::new(std::sync::Arc::new(spec.plan()));
+            let budget = CompileBudget {
+                faults: Some(&faults),
+                ..CompileBudget::default()
+            };
             let compile = || {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    compiler.try_compile(&op, CompileBudget::default())
+                    compiler.try_compile(&op, budget)
                 }))
                 .unwrap_or_else(|payload| {
                     Err(MikPolyError::CompilePanicked {
@@ -455,7 +460,6 @@ pub fn run_case(env: &ConformanceEnv, case: &FuzzCase) -> Result<(), String> {
                 MikPolyError::CompilePanicked { .. } => compile(),
                 other => Err(other),
             });
-            compiler.set_fault_plan(None);
             result.map_err(|e| format!("fault recovery: {e}"))?.program
         }
     };
@@ -515,11 +519,16 @@ pub fn run_case(env: &ConformanceEnv, case: &FuzzCase) -> Result<(), String> {
 
     // Cache coherence: an immediate recompile must be a hit on the very
     // same program — the serving path's correctness assumption.
-    let (again, outcome) = compiler.compile_with_outcome(&op);
-    if outcome != CacheOutcome::Hit {
-        return Err(format!("cache coherence: recompile outcome {outcome:?}"));
+    let again = compiler
+        .try_compile(&op, CompileBudget::default())
+        .map_err(|e| format!("cache coherence: recompile failed: {e}"))?;
+    if again.outcome != CacheOutcome::Hit {
+        return Err(format!(
+            "cache coherence: recompile outcome {:?}",
+            again.outcome
+        ));
     }
-    if !std::sync::Arc::ptr_eq(&program, &again) {
+    if !std::sync::Arc::ptr_eq(&program, &again.program) {
         return Err("cache coherence: recompile returned a different program".into());
     }
     Ok(())

@@ -1,12 +1,16 @@
 //! The `MikPoly` facade: two-stage compilation end to end.
 //!
-//! Fault tolerance: [`MikPoly::try_compile`] is the budgeted, fallible
-//! entry point — it honors a per-request compile deadline (falling back to
-//! the degraded single-kernel plan when the search cannot finish in time),
-//! validates cache entries when a [`FaultPlan`] is active (evicting and
-//! recompiling poisoned entries), and reports every failure as a typed
-//! [`MikPolyError`]. The infallible [`MikPoly::compile`] / [`MikPoly::run`]
-//! remain for deadline-free, fault-free callers.
+//! Fault tolerance: [`MikPoly::try_compile`] is the one fallible compile
+//! path. Everything a compile depends on besides the shape arrives in its
+//! [`CompileBudget`]: a per-request deadline (falling back to the degraded
+//! single-kernel plan when the search cannot finish in time) and an
+//! optional per-call [`FaultInjection`] context. A program-cache slot
+//! filled under an active fault plan is marked, and every reader
+//! validates a marked slot whatever its own plan (evicting and recompiling
+//! poisoned entries), so one call's faults never reach another call's
+//! results. Every failure is a typed [`MikPolyError`]. The infallible
+//! [`MikPoly::compile`] / [`MikPoly::run`] remain for deadline-free,
+//! fault-free callers.
 
 // Online hot path: failures must surface as typed errors, not panics.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -17,11 +21,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use accel_sim::{FaultPlan, Launch, MachineModel, SimReport, TimingMode};
-use mikpoly_telemetry::{span, Clock, Telemetry};
+use mikpoly_telemetry::{span, Clock, Registry, Telemetry};
 use tensor_ir::Operator;
 
 use crate::cache::{CacheOutcome, CacheStats, ShardedCache};
@@ -29,8 +33,8 @@ use crate::cost::CostModelKind;
 use crate::error::MikPolyError;
 use crate::offline::{MicroKernelLibrary, OfflineOptions};
 use crate::pattern::{default_patterns, Pattern};
-use crate::plan::{CompiledProgram, Region};
-use crate::search::{polymerize_degraded, try_polymerize_traced, SearchPolicy};
+use crate::plan::{CompiledProgram, Region, SearchStats};
+use crate::search::{polymerize_degraded, try_polymerize, SearchPolicy};
 
 /// Options of the online (polymerization) stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,9 +83,10 @@ impl Default for OnlineOptions {
     }
 }
 
-/// Per-request constraints on one online compilation.
+/// Per-request constraints on one online compilation, and the call's
+/// fault-injection context.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CompileBudget {
+pub struct CompileBudget<'a> {
     /// Hard wall-clock deadline for the compile. The search itself aborts
     /// at a *soft* deadline (80% of the remaining time) so the degraded
     /// fallback still fits inside the hard one.
@@ -89,15 +94,55 @@ pub struct CompileBudget {
     /// Skip the full search entirely and take the degraded path — the
     /// circuit breaker's open-state routing.
     pub degrade_only: bool,
+    /// The calling context's fault-injection schedule; `None`
+    /// (production) makes every fault hook a no-op.
+    pub faults: Option<&'a FaultInjection>,
 }
 
-impl CompileBudget {
-    /// A budget of `limit` from now, full path allowed.
+impl CompileBudget<'_> {
+    /// A budget of `limit` from now, full path allowed, no faults.
     pub fn within(limit: Duration) -> Self {
         Self {
             deadline: Some(Instant::now() + limit),
-            degrade_only: false,
+            ..Self::default()
         }
+    }
+}
+
+/// One calling context's fault injection: a deterministic [`FaultPlan`]
+/// plus the per-shape compile-attempt counters that drive the plan's
+/// `attempt` dimension (transient faults clear on retry). A serving call
+/// builds one per [`crate::ServingRuntime::serve`], so a fresh context
+/// replays its schedule from attempt zero and never sees another call's
+/// attempts.
+#[derive(Debug)]
+pub struct FaultInjection {
+    plan: Arc<FaultPlan>,
+    attempts: Mutex<HashMap<u64, u32>>,
+}
+
+impl FaultInjection {
+    /// A context that replays `plan` from attempt zero.
+    pub fn new(plan: Arc<FaultPlan>) -> Self {
+        Self {
+            plan,
+            attempts: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The fault schedule.
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Returns the current compile-attempt number for `key` and advances
+    /// the counter (0-based; the fault schedule is indexed by attempt).
+    fn next_attempt(&self, key: u64) -> u32 {
+        let mut attempts = self.attempts.lock();
+        let slot = attempts.entry(key).or_insert(0);
+        let current = *slot;
+        *slot += 1;
+        current
     }
 }
 
@@ -122,13 +167,17 @@ pub enum CompileGrade {
 pub(crate) struct CachedProgram {
     program: Arc<CompiledProgram>,
     device_ns: OnceLock<f64>,
+    /// Filled under an active fault plan, so possibly corrupted: every
+    /// reader validates the program before using it.
+    faulted: bool,
 }
 
 impl CachedProgram {
-    fn new(program: CompiledProgram) -> Self {
+    fn new(program: CompiledProgram, faulted: bool) -> Self {
         Self {
             program: Arc::new(program),
             device_ns: OnceLock::new(),
+            faulted,
         }
     }
 }
@@ -239,12 +288,6 @@ pub struct MikPoly {
     /// degraded plan must never shadow (or be shadowed by) the full
     /// search's plan for the same shape.
     degraded: ShardedCache<Operator, CachedProgram>,
-    /// Deterministic fault-injection schedule; `None` (production) makes
-    /// every fault hook a no-op.
-    fault_plan: RwLock<Option<Arc<FaultPlan>>>,
-    /// Per-shape compile-attempt counters driving the fault schedule's
-    /// `attempt` dimension (transient faults clear on retry).
-    fault_attempts: Mutex<HashMap<u64, u32>>,
     telemetry: Arc<Telemetry>,
 }
 
@@ -281,8 +324,6 @@ impl MikPoly {
             options: OnlineOptions::default(),
             cache: ShardedCache::new(),
             degraded: ShardedCache::new(),
-            fault_plan: RwLock::new(None),
-            fault_attempts: Mutex::new(HashMap::new()),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -298,29 +339,6 @@ impl MikPoly {
         self.degraded = ShardedCache::new();
         self.options = options;
         self
-    }
-
-    /// Installs (or clears, with `None`) the deterministic fault-injection
-    /// schedule. Clears the per-shape attempt counters so a fresh plan
-    /// replays its schedule from attempt zero.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.fault_plan.write() = plan;
-        self.fault_attempts.lock().clear();
-    }
-
-    /// The active fault-injection schedule, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.read().clone()
-    }
-
-    /// Returns the current compile-attempt number for `key` and advances
-    /// the counter (0-based; the fault schedule is indexed by attempt).
-    fn next_attempt(&self, key: u64) -> u32 {
-        let mut attempts = self.fault_attempts.lock();
-        let slot = attempts.entry(key).or_insert(0);
-        let current = *slot;
-        *slot += 1;
-        current
     }
 
     /// Attaches a telemetry handle (builder style): online compilations
@@ -390,21 +408,12 @@ impl MikPoly {
     }
 
     /// On-the-fly polymerization for a runtime shape (Algorithm 1, lines
-    /// 7–15). Cached per operator when [`OnlineOptions::cache`] is set.
+    /// 7–15). Cached per operator when [`OnlineOptions::cache`] is set;
+    /// concurrent misses on one operator compile exactly once (single
+    /// flight).
     pub fn compile(&self, operator: &Operator) -> Arc<CompiledProgram> {
-        self.compile_with_outcome(operator).0
-    }
-
-    /// Like [`MikPoly::compile`], but also reports how the cache answered:
-    /// a hit, a fresh polymerization, or a wait coalesced onto another
-    /// thread's in-flight polymerization of the same shape. Concurrent
-    /// misses on one operator compile exactly once (single flight).
-    pub fn compile_with_outcome(
-        &self,
-        operator: &Operator,
-    ) -> (Arc<CompiledProgram>, CacheOutcome) {
         match self.try_compile(operator, CompileBudget::default()) {
-            Ok(reply) => (reply.program, reply.outcome),
+            Ok(reply) => reply.program,
             // With no deadline and no fault plan every failure is the
             // logic bug the infallible contract documents as a panic.
             Err(err) => panic!("infallible compilation failed: {err}"),
@@ -421,9 +430,10 @@ impl MikPoly {
     /// 2. the search-free single-kernel fallback, when the deadline left
     ///    no room for any search or `degrade_only` routed here directly.
     ///
-    /// Under an active [`FaultPlan`], returned programs are validated and
-    /// poisoned cache entries are evicted ([`CacheStats::invalidations`])
-    /// and recompiled, bounded by an internal retry cap.
+    /// A slot filled under an active [`FaultPlan`] (this call's or any
+    /// other's) is validated on every read; a poisoned entry is evicted
+    /// ([`CacheStats::invalidations`]) and recompiled, bounded by an
+    /// internal retry cap.
     ///
     /// # Errors
     ///
@@ -436,12 +446,12 @@ impl MikPoly {
     pub fn try_compile(
         &self,
         operator: &Operator,
-        budget: CompileBudget,
+        budget: CompileBudget<'_>,
     ) -> Result<CompileReply, MikPolyError> {
         if budget.degrade_only {
             return self.degraded_reply(operator, 0);
         }
-        match self.try_compile_full(operator, budget.deadline) {
+        match self.try_compile_full(operator, budget) {
             Ok(reply) => Ok(reply),
             // The search ran out of time before costing any strategy:
             // drop to the bottom rung.
@@ -451,30 +461,28 @@ impl MikPoly {
     }
 
     /// The full-search rung: cached, single-flight, deadline-aware, with
-    /// poisoned-entry validation under an active fault plan.
+    /// validation of every slot filled under an active fault plan.
     fn try_compile_full(
         &self,
         operator: &Operator,
-        deadline: Option<Instant>,
+        budget: CompileBudget<'_>,
     ) -> Result<CompileReply, MikPolyError> {
-        // Validation is only meaningful when faults can corrupt programs;
-        // clean builds skip the coverage re-check on every hit.
-        let validate = self.fault_plan().is_some_and(|p| p.is_active());
         const MAX_POISON_RETRIES: u32 = 2;
         let mut poison_retries = 0u32;
         loop {
             let deadline_cut = Cell::new(false);
-            let compute = || {
-                self.try_compile_uncached(operator, deadline, &deadline_cut)
-                    .map(CachedProgram::new)
-            };
+            let compute = || self.try_compile_uncached(operator, budget, &deadline_cut);
             let attempt = if self.options.cache {
                 self.cache.try_get_or_compute(operator, compute)
             } else {
                 compute().map(|slot| (Arc::new(slot), CacheOutcome::Computed))
             };
             let (slot, outcome) = attempt?;
-            if validate && slot.program.verify_coverage().is_err() {
+            // Only a fault plan can corrupt a program, so a slot filled
+            // without one skips the coverage re-check. A marked slot is
+            // checked whatever this call's own plan: a clean call can
+            // coalesce onto, or hit, a faulty call's fill.
+            if slot.faulted && slot.program.verify_coverage().is_err() {
                 // Poisoned entry: evict and recompile. The fault schedule
                 // corrupts only a shape's first compile, so the retry
                 // normally comes back clean; the cap bounds the pathological
@@ -512,7 +520,7 @@ impl MikPoly {
                 &operator.gemm_view(),
                 *operator,
             )
-            .map(CachedProgram::new)
+            .map(|program| CachedProgram::new(program, false))
         })?;
         Ok(CompileReply::new(
             slot,
@@ -687,10 +695,25 @@ impl MikPoly {
         Ok(self.adopt_restored_programs(programs))
     }
 
-    /// Checks that a restored program's kernels all exist in this
-    /// compiler's library — the guard against adopting a bundle from a
-    /// different machine or library version.
+    /// Checks a restored program before it is adopted: its regions tile
+    /// its output exactly, its view is its operator's, and its kernels all
+    /// exist in this compiler's library (the guard against a bundle from a
+    /// different machine or library version). A restored slot is adopted
+    /// unmarked and served without further checks, so a bundle whose
+    /// checksums pass must still not smuggle in a broken program.
     pub(crate) fn validate_restored_program(&self, p: &CompiledProgram) -> Result<(), String> {
+        if let Err(e) = p.verify_coverage() {
+            return Err(format!(
+                "program for {} does not cover its output: {e:?}",
+                p.operator
+            ));
+        }
+        if p.view != p.operator.gemm_view() {
+            return Err(format!(
+                "program for {} carries a view that is not its operator's",
+                p.operator
+            ));
+        }
         for r in &p.regions {
             if self.library.get(r.kernel.id).map(|t| t.kernel) != Some(r.kernel) {
                 return Err(format!(
@@ -709,51 +732,67 @@ impl MikPoly {
         self.cache.insert_many(
             programs
                 .into_iter()
-                .map(|p| (p.operator, Arc::new(CachedProgram::new(p)))),
+                .map(|p| (p.operator, Arc::new(CachedProgram::new(p, false)))),
         );
         count
     }
 
-    /// One fresh polymerization with the fault hooks applied, in schedule
-    /// order: injected panic → injected search stall → deadline-aware
-    /// search → injected program corruption. `deadline_cut` reports (via
+    /// One fresh polymerization with the call's fault hooks applied, in
+    /// schedule order: injected panic → injected search stall →
+    /// deadline-aware search → injected program corruption. The search
+    /// runs under the `online.search` span, and its [`SearchStats`] are
+    /// recorded into the telemetry registry. `deadline_cut` reports (via
     /// the captured cell — the closure runs inside the cache's single
     /// flight, so a plain return channel is unavailable) whether the
     /// deadline cut the search for *this* computation.
     fn try_compile_uncached(
         &self,
         operator: &Operator,
-        deadline: Option<Instant>,
+        budget: CompileBudget<'_>,
         deadline_cut: &Cell<bool>,
-    ) -> Result<CompiledProgram, MikPolyError> {
-        let plan = self.fault_plan();
+    ) -> Result<CachedProgram, MikPolyError> {
+        let faults = budget.faults.filter(|f| f.plan.is_active());
         let key = shape_key(operator);
-        let attempt = match plan.as_ref() {
-            Some(p) if p.is_active() => self.next_attempt(key),
-            _ => 0,
-        };
-        if let Some(plan) = plan.as_ref() {
+        let attempt = faults.map_or(0, |f| f.next_attempt(key));
+        if let Some(plan) = faults.map(FaultInjection::plan) {
             if plan.compile_panics(key, attempt) {
                 panic!("injected compile fault for {operator}");
             }
             if let Some(stall_ns) = plan.search_stall(key) {
-                self.stall(operator, stall_ns, deadline)?;
+                self.stall(operator, stall_ns, budget.deadline)?;
             }
         }
         let view = operator.gemm_view();
-        let soft = deadline.map(soft_deadline);
-        let run = try_polymerize_traced(
-            &self.machine,
-            &self.library,
-            &view,
-            *operator,
-            &self.patterns(),
-            self.options.cost_model,
-            self.options.prune,
-            &self.options.search,
-            soft,
-            &self.telemetry,
-        )?;
+        let run = {
+            let mut span = span!(
+                self.telemetry,
+                "online.search",
+                m = view.shape.m,
+                n = view.shape.n,
+                k = view.shape.k,
+            );
+            let run = try_polymerize(
+                &self.machine,
+                &self.library,
+                &view,
+                *operator,
+                &self.patterns(),
+                self.options.cost_model,
+                self.options.prune,
+                &self.options.search,
+                budget.deadline.map(soft_deadline),
+            )?;
+            if self.telemetry.is_enabled() {
+                let stats = &run.program.stats;
+                span.arg("strategies_evaluated", stats.strategies_evaluated);
+                span.arg("strategies_pruned", stats.strategies_pruned);
+                span.arg("patterns_tried", stats.patterns_tried);
+                span.arg("escalations", stats.escalations);
+                span.arg("deadline_cut", usize::from(run.deadline_cut));
+                record_search_stats(stats, self.telemetry.registry());
+            }
+            run
+        };
         deadline_cut.set(run.deadline_cut);
         let mut program = run.program;
         if self.options.split_k
@@ -763,15 +802,12 @@ impl MikPoly {
             program =
                 crate::search::improve_with_split_k(&self.machine, &self.library, &view, program);
         }
-        if plan
-            .as_ref()
-            .is_some_and(|p| p.corrupts_program(key, attempt))
-        {
+        if faults.is_some_and(|f| f.plan.corrupts_program(key, attempt)) {
             // Drop a region so `verify_coverage` fails: the poisoned
             // program is structurally plausible but provably incomplete.
             program.regions.pop();
         }
-        Ok(program)
+        Ok(CachedProgram::new(program, faults.is_some()))
     }
 
     /// Sleeps out an injected search stall, honoring the deadline: a stall
@@ -873,43 +909,25 @@ impl MikPoly {
         .map_err(|source| MikPolyError::MalformedLaunch { source })
     }
 
-    /// Compiles and simulates an operator in one call.
+    /// Compiles and simulates an operator in one call, with the
+    /// `online.compile` span, the `online.compile_ns` / `cache.wait_ns`
+    /// histograms and the `compile.degraded` / `cache.poisoned` counters
+    /// recorded. Every call simulates, to return the full [`SimReport`];
+    /// the serving path ([`crate::Engine::try_plan_graph`]) reads only the
+    /// device time, from the cache slot's memo.
     pub fn run(&self, operator: &Operator) -> OperatorRun {
-        match self.try_run(operator, CompileBudget::default()) {
-            Ok(run) => run,
+        let (reply, compile_ns) = self
+            .try_compile_timed(operator, CompileBudget::default())
             // With no deadline and no fault plan every failure is the
             // logic bug the infallible contract documents as a panic.
-            Err(err) => panic!("infallible run failed: {err}"),
-        }
-    }
-
-    /// Budgeted compile-and-simulate: [`MikPoly::try_compile`] followed by
-    /// device simulation, with the `online.compile` span, the
-    /// `online.compile_ns` / `cache.wait_ns` histograms, and the
-    /// `compile.degraded` / `cache.poisoned` fault counters recorded.
-    /// Every call simulates, to return the full [`SimReport`]; the
-    /// serving path ([`crate::Engine::try_plan_graph`]) reads only the
-    /// device time, from the cache slot's memo.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`MikPoly::try_compile`], plus
-    /// [`MikPolyError::MalformedLaunch`] when the compiled program's
-    /// device launch is rejected by the simulator.
-    pub fn try_run(
-        &self,
-        operator: &Operator,
-        budget: CompileBudget,
-    ) -> Result<OperatorRun, MikPolyError> {
-        let (reply, compile_ns) = self.try_compile_timed(operator, budget)?;
-        let report = self.try_simulate(&reply.program)?;
-        Ok(OperatorRun {
+            .unwrap_or_else(|err| panic!("infallible run failed: {err}"));
+        OperatorRun {
+            report: self.simulate(&reply.program),
             program: reply.program,
-            report,
             compile_ns,
             outcome: reply.outcome,
             grade: reply.grade,
-        })
+        }
     }
 
     /// [`MikPoly::try_compile`] under the `online.compile` span, returning
@@ -919,7 +937,7 @@ impl MikPoly {
     pub(crate) fn try_compile_timed(
         &self,
         operator: &Operator,
-        budget: CompileBudget,
+        budget: CompileBudget<'_>,
     ) -> Result<(CompileReply, u128), MikPolyError> {
         let start = Instant::now();
         let reply = {
@@ -1060,6 +1078,42 @@ fn soft_deadline(hard: Instant) -> Instant {
         // Already past: the search gets no time at all.
         None => hard,
     }
+}
+
+/// Accumulates one shape's [`SearchStats`] into the registry's
+/// search-efficiency counters (`search.shapes`, `search.strategies_*`,
+/// `search.patterns_tried`, and the stage counters
+/// `search.budget_exhausted` / `search.shortlist_truncated` /
+/// `search.escalations` / `search.refined`) and the real-clock
+/// `online.search_ns` histogram — the numbers the `fig*` / `abl_search`
+/// experiments report, and what lets a gap report attribute slack to
+/// pruning vs. library coverage directly.
+fn record_search_stats(stats: &SearchStats, registry: &Registry) {
+    registry.counter("search.shapes").inc();
+    registry
+        .counter("search.strategies_evaluated")
+        .add(stats.strategies_evaluated as u64);
+    registry
+        .counter("search.strategies_pruned")
+        .add(stats.strategies_pruned as u64);
+    registry
+        .counter("search.patterns_tried")
+        .add(stats.patterns_tried as u64);
+    registry
+        .counter("search.budget_exhausted")
+        .add(stats.budget_exhausted as u64);
+    registry
+        .counter("search.shortlist_truncated")
+        .add(stats.shortlist_truncated as u64);
+    registry
+        .counter("search.escalations")
+        .add(stats.escalations as u64);
+    if stats.refined {
+        registry.counter("search.refined").inc();
+    }
+    registry
+        .histogram("online.search_ns", Clock::Real)
+        .record(stats.search_ns.min(u128::from(u64::MAX)) as u64);
 }
 
 fn region_view(region: &Region) -> tensor_ir::GemmView {
@@ -1216,8 +1270,8 @@ mod fault_tests {
             .try_compile(
                 &op,
                 CompileBudget {
-                    deadline: None,
                     degrade_only: true,
+                    ..CompileBudget::default()
                 },
             )
             .expect("degraded path cannot fail on a generated library");
@@ -1237,8 +1291,8 @@ mod fault_tests {
             .try_compile(
                 &op,
                 CompileBudget {
-                    deadline: None,
                     degrade_only: true,
+                    ..CompileBudget::default()
                 },
             )
             .expect("degraded path");
@@ -1246,23 +1300,36 @@ mod fault_tests {
         assert!(Arc::ptr_eq(&again.program, &reply.program));
     }
 
+    /// A fault context for `plan`.
+    fn faults(plan: FaultPlan) -> FaultInjection {
+        FaultInjection::new(Arc::new(plan))
+    }
+
+    /// A deadline-free budget under `faults`.
+    fn under(faults: &FaultInjection) -> CompileBudget<'_> {
+        CompileBudget {
+            faults: Some(faults),
+            ..CompileBudget::default()
+        }
+    }
+
     #[test]
     fn injected_compile_panic_fires_then_clears() {
         let c = compiler();
         let op = Operator::gemm(GemmShape::new(640, 320, 160));
-        c.set_fault_plan(Some(Arc::new(FaultPlan {
+        let faults = faults(FaultPlan {
             compile_panic_rate: 1.0,
             panic_attempts: 1,
             ..FaultPlan::none()
-        })));
+        });
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.try_compile(&op, CompileBudget::default())
+            c.try_compile(&op, under(&faults))
         }));
         assert!(caught.is_err(), "attempt 0 must panic");
         // Attempt 1: the transient fault has cleared and (crucially) the
         // panicked flight did not wedge the cache.
         let reply = c
-            .try_compile(&op, CompileBudget::default())
+            .try_compile(&op, under(&faults))
             .expect("attempt 1 compiles");
         assert_eq!(reply.grade, CompileGrade::Full);
         reply.program.verify_coverage().expect("coverage");
@@ -1272,21 +1339,57 @@ mod fault_tests {
     fn corrupted_cache_entry_is_evicted_and_recompiled() {
         let c = compiler();
         let op = Operator::gemm(GemmShape::new(777, 512, 256));
-        c.set_fault_plan(Some(Arc::new(FaultPlan {
+        let faults = faults(FaultPlan {
             cache_corrupt_rate: 1.0,
             ..FaultPlan::none()
-        })));
+        });
         let reply = c
-            .try_compile(&op, CompileBudget::default())
+            .try_compile(&op, under(&faults))
             .expect("poison retry must recover");
         assert!(reply.poison_retries > 0, "attempt 0 was corrupted");
         reply.program.verify_coverage().expect("recompile is clean");
         assert!(c.cache_stats().invalidations > 0);
-        // Clearing the plan restores the fast path: no more validation.
-        c.set_fault_plan(None);
+        // A clean call hits the recompiled entry: it validates (the slot
+        // was filled under a plan) and finds nothing to evict.
         let hit = c.try_compile(&op, CompileBudget::default()).expect("hit");
         assert_eq!(hit.outcome, CacheOutcome::Hit);
         assert_eq!(hit.poison_retries, 0);
+    }
+
+    /// Poison does not cross calls: a clean call that coalesces onto a
+    /// faulty call's in-flight fill validates what it receives, evicts
+    /// the corrupted program and compiles its own.
+    #[test]
+    fn clean_call_waiting_on_a_faulty_fill_never_gets_its_poison() {
+        let c = compiler();
+        let op = Operator::gemm(GemmShape::new(777, 512, 256));
+        let faulty = faults(FaultPlan {
+            cache_corrupt_rate: 1.0,
+            search_stall_rate: 1.0,
+            search_stall_ns: 300_000_000,
+            ..FaultPlan::none()
+        });
+        let clean = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| c.try_compile(&op, under(&faulty)));
+            // The stall holds the faulty flight open: it is in flight
+            // from the miss until its (corrupted) commit.
+            while c.cache_stats().in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            let clean = c.try_compile(&op, CompileBudget::default());
+            leader.join().unwrap().expect("the faulty call recovers");
+            clean
+        })
+        .expect("the clean call recovers");
+        // The clean lookup coalesced onto the faulty flight and received
+        // its corrupted program; it then evicted the program, and its own
+        // retry either refilled the slot or waited on the faulty call's
+        // clean refill.
+        assert!(c.cache_stats().coalesced_waits > 0);
+        assert_ne!(clean.outcome, CacheOutcome::Hit);
+        assert_eq!(clean.poison_retries, 1, "{clean:?}");
+        clean.program.verify_coverage().expect("no poison served");
+        assert!(c.cache_stats().invalidations > 0);
     }
 
     #[test]
@@ -1295,15 +1398,21 @@ mod fault_tests {
         let op = Operator::gemm(GemmShape::new(1111, 999, 512));
         // A 50 ms stall against a 5 ms budget: the full path cannot finish,
         // so the compile must degrade — and stay within the hard deadline.
-        c.set_fault_plan(Some(Arc::new(FaultPlan {
+        let faults = faults(FaultPlan {
             search_stall_rate: 1.0,
             search_stall_ns: 50_000_000,
             ..FaultPlan::none()
-        })));
+        });
         let budget = Duration::from_millis(5);
         let start = Instant::now();
         let reply = c
-            .try_compile(&op, CompileBudget::within(budget))
+            .try_compile(
+                &op,
+                CompileBudget {
+                    faults: Some(&faults),
+                    ..CompileBudget::within(budget)
+                },
+            )
             .expect("must degrade, not fail");
         let elapsed = start.elapsed();
         assert_eq!(reply.grade, CompileGrade::Degraded);

@@ -245,32 +245,14 @@ impl Engine {
         }
     }
 
-    /// Compiles (with caching) and simulates one operator.
+    /// Compiles (with caching) and simulates one operator, routed through
+    /// the right template compiler.
     pub fn run_operator(&self, operator: &Operator) -> EngineRun {
-        match self.try_run_operator(operator, CompileBudget::default()) {
-            Ok(run) => run,
-            // With no deadline and no fault plan every failure is the
-            // logic bug the infallible contract documents as a panic.
-            Err(err) => panic!("infallible engine run failed: {err}"),
-        }
-    }
-
-    /// Budgeted compile-and-simulate for one operator, routed through the
-    /// right template compiler.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`MikPoly::try_run`].
-    pub fn try_run_operator(
-        &self,
-        operator: &Operator,
-        budget: CompileBudget,
-    ) -> Result<EngineRun, MikPolyError> {
         let (dispatched, compiler) = self.route(operator);
-        Ok(EngineRun {
+        EngineRun {
             dispatched,
-            run: compiler.try_run(&dispatched, budget)?,
-        })
+            run: compiler.run(&dispatched),
+        }
     }
 
     /// The operator dispatched for a request, after algorithm selection,
@@ -289,45 +271,33 @@ impl Engine {
     /// Runs a weighted operator list (one forward pass): each `(operator,
     /// count)` pair executes `count` times, compiled once.
     pub fn run_graph<'a>(&self, ops: impl IntoIterator<Item = (&'a Operator, usize)>) -> GraphRun {
-        match self.try_run_graph(ops, CompileBudget::default()) {
-            Ok(run) => run,
-            // See `run_operator`: unreachable without a budget or faults.
+        match self.try_plan_graph(ops, CompileBudget::default()) {
+            Ok(plan) => plan.run,
+            // With no deadline and no fault plan every failure is the
+            // logic bug the infallible contract documents as a panic.
             Err(err) => panic!("infallible graph run failed: {err}"),
         }
     }
 
-    /// Budgeted [`Engine::run_graph`]: every operator's compile shares the
-    /// one `budget` (the per-request deadline bounds the whole request,
-    /// not each operator separately).
+    /// Budgeted [`Engine::run_graph`] that also retains each operator's
+    /// device launches so the caller can co-launch the request with
+    /// others (see [`crate::serving::colaunch`]). Every operator's compile
+    /// shares the one `budget`: the per-request deadline bounds the whole
+    /// request, not each operator separately, and one fault context
+    /// serves the whole call. This is the serving path: each operator's
+    /// device time is read from its program-cache slot, where it is
+    /// simulated once per cached program, on the first read after the
+    /// compile was timed — so it is never charged as compile time.
     ///
     /// # Errors
     ///
     /// The first [`MikPolyError`] any operator reports; operators already
-    /// run are discarded (their programs stay cached, so a retry is
+    /// planned are discarded (their programs stay cached, so a retry is
     /// cheap).
-    pub fn try_run_graph<'a>(
-        &self,
-        ops: impl IntoIterator<Item = (&'a Operator, usize)>,
-        budget: CompileBudget,
-    ) -> Result<GraphRun, MikPolyError> {
-        Ok(self.try_plan_graph(ops, budget)?.run)
-    }
-
-    /// Like [`Engine::try_run_graph`], but also retains each operator's
-    /// device launches so the caller can co-launch the request with
-    /// others (see [`crate::serving::colaunch`]). This is the serving
-    /// path: each operator's device time is read from its program-cache
-    /// slot, where it is simulated once per cached program, on the first
-    /// read after the compile was timed — so it is never charged as
-    /// compile time.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Engine::try_run_graph`].
     pub fn try_plan_graph<'a>(
         &self,
         ops: impl IntoIterator<Item = (&'a Operator, usize)>,
-        budget: CompileBudget,
+        budget: CompileBudget<'_>,
     ) -> Result<GraphPlan, MikPolyError> {
         let mut out = GraphPlan::default();
         for (op, count) in ops {
@@ -366,13 +336,6 @@ impl Engine {
             Operator::Conv2d { .. } => self.conv.launch_for(program),
             _ => self.gemm.launch_for(program),
         }
-    }
-
-    /// Installs (or clears) the fault-injection schedule on both template
-    /// compilers.
-    pub fn set_fault_plan(&self, plan: Option<Arc<accel_sim::FaultPlan>>) {
-        self.gemm.set_fault_plan(plan.clone());
-        self.conv.set_fault_plan(plan);
     }
 
     /// Simulates a previously compiled program on this engine's machine.
@@ -769,6 +732,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A bundle whose checksums pass can still hold a program that does
+    /// not tile its output (the corruption the fault hook injects). The
+    /// strict loader rejects it, and restore salvages only the prefix
+    /// before it.
+    #[test]
+    fn restore_rejects_a_program_that_does_not_cover_its_output() {
+        let dir = std::env::temp_dir().join(format!("mikpoly-engine-holed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let a = engine(ConvAlgorithm::ImplicitGemm);
+        let ops = [
+            Operator::gemm(GemmShape::new(320, 192, 128)),
+            Operator::gemm(GemmShape::new(1000, 300, 200)),
+        ];
+        let mut programs: Vec<_> = ops
+            .iter()
+            .map(|op| (*a.gemm_compiler().compile(op)).clone())
+            .collect();
+        programs[1].regions.pop();
+        assert!(programs[1].verify_coverage().is_err());
+        let bundle = crate::persist::encode_bundle(&programs);
+
+        let b = engine(ConvAlgorithm::ImplicitGemm);
+        let err = b
+            .gemm_compiler()
+            .load_program_cache_bytes(&bundle)
+            .expect_err("a holed program must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(b.gemm_compiler().cache_stats().entries, 0);
+
+        std::fs::write(dir.join("gemm.mpac"), &bundle).expect("write");
+        let report = b.restore_program_caches(&dir);
+        let g = report
+            .bundles
+            .iter()
+            .find(|b| b.bundle == "gemm")
+            .expect("gemm entry");
+        assert_eq!(g.outcome, crate::recovery::RestoreOutcome::Salvaged);
+        assert_eq!(g.restored, 1, "only the prefix before the hole");
+        assert_eq!(b.run_operator(&ops[0]).run.compile_ns, 0, "prefix warm");
+        let recompiled = b.run_operator(&ops[1]).run;
+        assert!(
+            recompiled.compile_ns > 0,
+            "the holed program was not adopted"
+        );
+        recompiled.program.verify_coverage().expect("coverage");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn restore_quarantines_garbage_and_distinguishes_cold_starts() {
         let dir = std::env::temp_dir().join(format!("mikpoly-engine-cold-{}", std::process::id()));
@@ -849,7 +861,7 @@ mod tests {
 #[cfg(test)]
 mod memo_tests {
     use super::*;
-    use crate::compiler::OnlineOptions;
+    use crate::compiler::{FaultInjection, OnlineOptions};
     use accel_sim::FaultPlan;
     use tensor_ir::GemmShape;
 
@@ -887,7 +899,7 @@ mod memo_tests {
     /// both device times against a fresh simulation of the program the
     /// cache answers with under `budget` — the program the plan ran,
     /// which its launch confirms. Returns the plan.
-    fn assert_memo_matches(engine: &Engine, op: &Operator, budget: CompileBudget) -> GraphPlan {
+    fn assert_memo_matches(engine: &Engine, op: &Operator, budget: CompileBudget<'_>) -> GraphPlan {
         let plan = engine
             .try_plan_graph([(op, 1)], budget)
             .expect("plan compiles");
@@ -913,12 +925,16 @@ mod memo_tests {
     fn poisoned_entries_never_serve_a_stale_device_time() {
         for machine in machines() {
             let engine = engine(&machine, &library(&machine), OnlineOptions::default());
-            engine.set_fault_plan(Some(Arc::new(FaultPlan {
+            let faults = FaultInjection::new(Arc::new(FaultPlan {
                 cache_corrupt_rate: 1.0,
                 ..FaultPlan::none()
-            })));
+            }));
+            let budget = CompileBudget {
+                faults: Some(&faults),
+                ..CompileBudget::default()
+            };
             for op in ops() {
-                assert_memo_matches(&engine, &op, CompileBudget::default());
+                assert_memo_matches(&engine, &op, budget);
             }
             let stats = engine.gemm_compiler().cache_stats();
             assert_eq!(stats.invalidations, ops().len() as u64, "{}", machine.name);
@@ -983,8 +999,8 @@ mod memo_tests {
     #[test]
     fn degraded_programs_keep_a_memo_of_their_own() {
         let degrade_only = CompileBudget {
-            deadline: None,
             degrade_only: true,
+            ..CompileBudget::default()
         };
         for machine in machines() {
             let engine = engine(&machine, &library(&machine), OnlineOptions::default());

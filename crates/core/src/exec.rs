@@ -121,7 +121,7 @@ mod tests {
     use crate::cost::CostModelKind;
     use crate::offline::{MicroKernelLibrary, OfflineOptions};
     use crate::pattern::gpu_patterns;
-    use crate::search::{polymerize, SearchPolicy};
+    use crate::search::{try_polymerize, SearchPolicy};
     use accel_sim::MachineModel;
     use tensor_ir::{reference_conv2d, reference_gemm, GemmShape};
 
@@ -133,7 +133,7 @@ mod tests {
     }
 
     fn compile(m: &MachineModel, l: &MicroKernelLibrary, op: Operator) -> CompiledProgram {
-        polymerize(
+        try_polymerize(
             m,
             l,
             &op.gemm_view(),
@@ -142,7 +142,10 @@ mod tests {
             CostModelKind::Full,
             true,
             &SearchPolicy::default(),
+            None,
         )
+        .expect("search")
+        .program
     }
 
     #[test]

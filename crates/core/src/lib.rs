@@ -68,8 +68,8 @@ pub mod serving;
 pub use alloc::{lpt_makespan, makespan, max_min_assign};
 pub use cache::{CacheOutcome, CacheStats, ShardedCache};
 pub use compiler::{
-    shape_key, CompileBudget, CompileGrade, CompileReply, MikPoly, OnlineOptions, OperatorRun,
-    OracleResult,
+    shape_key, CompileBudget, CompileGrade, CompileReply, FaultInjection, MikPoly, OnlineOptions,
+    OperatorRun, OracleResult,
 };
 pub use cost::{f_pipe, f_wave, region_cost, CostModelKind};
 pub use engine::{ConvAlgorithm, Engine, EngineRun, GraphPlan, GraphRun, OpPlan};
@@ -90,9 +90,8 @@ pub use plan::{CompiledProgram, CoverageError, Region, SearchStats};
 pub use recovery::{quarantine_file, BundleRestore, Manifest, RestoreOutcome, RestoreReport};
 pub use resilience::{BreakerDecision, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
 pub use search::{
-    enumerate_strategies, enumerate_strategies_capped, improve_with_split_k, polymerize,
-    polymerize_degraded, polymerize_traced, record_search_stats, try_polymerize,
-    try_polymerize_traced, SearchPolicy, SearchRun,
+    enumerate_strategies, enumerate_strategies_capped, improve_with_split_k, polymerize_degraded,
+    try_polymerize, SearchPolicy, SearchRun,
 };
 pub use serving::{
     percentile, poisson_arrivals, BatchingOptions, Disposition, DispositionCounts, DrainReport,

@@ -54,7 +54,6 @@ mod splitk;
 use std::time::Instant;
 
 use accel_sim::{AllocationPolicy, MachineModel};
-use mikpoly_telemetry::{span, Clock, Registry, Telemetry};
 use tensor_ir::GemmView;
 
 use crate::alloc::lpt_makespan;
@@ -286,40 +285,15 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
 }
 
 /// Runs the online polymerization search and returns the optimized tensor
-/// program `S*`.
-///
-/// # Panics
-///
-/// Panics if the library contains no usable kernel for this view (which
-/// cannot happen for libraries produced by
-/// [`MicroKernelLibrary::generate`] on the same machine). Deadline-bound
-/// callers use [`try_polymerize`], which reports that condition (and a
-/// blown deadline) as a typed error instead.
-#[allow(clippy::too_many_arguments)]
-pub fn polymerize(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-) -> CompiledProgram {
-    polymerize_observed(
-        machine, library, view, operator, patterns, kind, prune, policy, None,
-    )
-}
-
-/// Deadline-aware, fallible polymerization. With `deadline: None` this is
-/// [`polymerize`] behind a `Result`; with a deadline the search checks the
-/// clock every [`DEADLINE_CHECK_INTERVAL`] descents and, on expiry,
-/// returns the incumbent flagged [`SearchRun::deadline_cut`]. Errors:
+/// program `S*`. With a deadline the search checks the clock every
+/// [`DEADLINE_CHECK_INTERVAL`] descents and, on expiry, returns the
+/// incumbent flagged [`SearchRun::deadline_cut`]. Errors:
 ///
 /// * [`MikPolyError::DeadlineExceeded`] — the deadline fired before any
 ///   complete strategy was costed (no incumbent to return);
 /// * [`MikPolyError::NoFeasibleStrategy`] — the library holds no kernel
-///   usable for this view.
+///   usable for this view (which cannot happen for libraries produced by
+///   [`MicroKernelLibrary::generate`] on the same machine).
 #[allow(clippy::too_many_arguments)]
 pub fn try_polymerize(
     machine: &MachineModel,
@@ -337,32 +311,9 @@ pub fn try_polymerize(
     )
 }
 
-/// [`polymerize`] with a hook that observes every complete strategy the
-/// search visits — the instrument behind the oracle-superset test and gap
-/// attributions.
-#[allow(clippy::too_many_arguments)]
-fn polymerize_observed(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    observer: Option<StrategyObserver<'_>>,
-) -> CompiledProgram {
-    match try_polymerize_observed(
-        machine, library, view, operator, patterns, kind, prune, policy, None, observer,
-    ) {
-        Ok(run) => run.program,
-        // No deadline was set, so the only representable failure is a
-        // library with no usable kernel — the logic bug the infallible
-        // contract documents as a panic.
-        Err(err) => panic!("infallible polymerization failed: {err}"),
-    }
-}
-
+/// [`try_polymerize`] with a hook that observes every complete strategy
+/// the search visits — the instrument behind the oracle-superset test and
+/// gap attributions.
 #[allow(clippy::too_many_arguments)]
 fn try_polymerize_observed(
     machine: &MachineModel,
@@ -575,126 +526,6 @@ pub fn polymerize_degraded(
     })
 }
 
-/// Like [`polymerize`], but wrapped in an `online.search` span and with
-/// the resulting [`SearchStats`] accumulated into `telemetry`'s registry
-/// (see [`record_search_stats`] for the counter names). Identical to
-/// [`polymerize`] — including cost — when `telemetry` is disabled.
-#[allow(clippy::too_many_arguments)]
-pub fn polymerize_traced(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    telemetry: &Telemetry,
-) -> CompiledProgram {
-    if !telemetry.is_enabled() {
-        return polymerize(
-            machine, library, view, operator, patterns, kind, prune, policy,
-        );
-    }
-    let mut span = span!(
-        telemetry,
-        "online.search",
-        m = view.shape.m,
-        n = view.shape.n,
-        k = view.shape.k,
-    );
-    let program = polymerize(
-        machine, library, view, operator, patterns, kind, prune, policy,
-    );
-    span.arg("strategies_evaluated", program.stats.strategies_evaluated);
-    span.arg("strategies_pruned", program.stats.strategies_pruned);
-    span.arg("patterns_tried", program.stats.patterns_tried);
-    span.arg("escalations", program.stats.escalations);
-    record_search_stats(&program.stats, telemetry.registry());
-    program
-}
-
-/// [`try_polymerize`] under an `online.search` span, with the stats
-/// recorded into `telemetry`'s registry — the deadline-aware sibling of
-/// [`polymerize_traced`]. Errors are not recorded as search stats (no
-/// program was produced); the caller accounts for them in its own
-/// disposition counters.
-#[allow(clippy::too_many_arguments)]
-pub fn try_polymerize_traced(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    deadline: Option<Instant>,
-    telemetry: &Telemetry,
-) -> Result<SearchRun, MikPolyError> {
-    if !telemetry.is_enabled() {
-        return try_polymerize(
-            machine, library, view, operator, patterns, kind, prune, policy, deadline,
-        );
-    }
-    let mut span = span!(
-        telemetry,
-        "online.search",
-        m = view.shape.m,
-        n = view.shape.n,
-        k = view.shape.k,
-    );
-    let run = try_polymerize(
-        machine, library, view, operator, patterns, kind, prune, policy, deadline,
-    )?;
-    span.arg(
-        "strategies_evaluated",
-        run.program.stats.strategies_evaluated,
-    );
-    span.arg("strategies_pruned", run.program.stats.strategies_pruned);
-    span.arg("patterns_tried", run.program.stats.patterns_tried);
-    span.arg("escalations", run.program.stats.escalations);
-    span.arg("deadline_cut", usize::from(run.deadline_cut));
-    record_search_stats(&run.program.stats, telemetry.registry());
-    Ok(run)
-}
-
-/// Accumulates one shape's [`SearchStats`] into the registry's
-/// search-efficiency counters (`search.shapes`, `search.strategies_*`,
-/// `search.patterns_tried`, and the stage counters
-/// `search.budget_exhausted` / `search.shortlist_truncated` /
-/// `search.escalations` / `search.refined`) and the real-clock
-/// `online.search_ns` histogram — the numbers the `fig*` / `abl_search`
-/// experiments report, and what lets a gap report attribute slack to
-/// pruning vs. library coverage directly.
-pub fn record_search_stats(stats: &SearchStats, registry: &Registry) {
-    registry.counter("search.shapes").inc();
-    registry
-        .counter("search.strategies_evaluated")
-        .add(stats.strategies_evaluated as u64);
-    registry
-        .counter("search.strategies_pruned")
-        .add(stats.strategies_pruned as u64);
-    registry
-        .counter("search.patterns_tried")
-        .add(stats.patterns_tried as u64);
-    registry
-        .counter("search.budget_exhausted")
-        .add(stats.budget_exhausted as u64);
-    registry
-        .counter("search.shortlist_truncated")
-        .add(stats.shortlist_truncated as u64);
-    registry
-        .counter("search.escalations")
-        .add(stats.escalations as u64);
-    if stats.refined {
-        registry.counter("search.refined").inc();
-    }
-    registry
-        .histogram("online.search_ns", Clock::Real)
-        .record(stats.search_ns.min(u128::from(u64::MAX)) as u64);
-}
-
 /// The enumeration consumer of the candidate generator: no costs, no
 /// pruning — every feasible strategy reaches the callback.
 struct EnumerateVisitor<'c> {
@@ -715,7 +546,7 @@ impl StrategyVisitor for EnumerateVisitor<'_> {
 /// invoking the callback with each complete region list. Used by the
 /// Oracle variant of Fig. 12(b), which simulates every candidate instead
 /// of trusting the cost model. Because the walk goes through the same
-/// [`candidates::Generator`] as [`polymerize`], the enumerated space is a
+/// [`candidates::Generator`] as [`try_polymerize`], the enumerated space is a
 /// superset of anything the pruned search can visit.
 pub fn enumerate_strategies(
     machine: &MachineModel,
@@ -768,12 +599,36 @@ mod tests {
         (m, lib)
     }
 
+    /// The deadline-free search's program for `operator`.
+    fn search(
+        machine: &MachineModel,
+        library: &MicroKernelLibrary,
+        operator: Operator,
+        patterns: &[Pattern],
+        kind: CostModelKind,
+        prune: bool,
+        policy: &SearchPolicy,
+    ) -> CompiledProgram {
+        try_polymerize(
+            machine,
+            library,
+            &operator.gemm_view(),
+            operator,
+            patterns,
+            kind,
+            prune,
+            policy,
+            None,
+        )
+        .expect("a deadline-free search over a generated library cannot fail")
+        .program
+    }
+
     fn compile(m: &MachineModel, lib: &MicroKernelLibrary, shape: GemmShape) -> CompiledProgram {
         let op = Operator::gemm(shape);
-        polymerize(
+        search(
             m,
             lib,
-            &op.gemm_view(),
             op,
             &gpu_patterns(),
             CostModelKind::Full,
@@ -814,10 +669,9 @@ mod tests {
         let mut found_multi = false;
         for mm in (1600..=2400).step_by(16) {
             let op = Operator::gemm(GemmShape::new(mm, 1024, 512));
-            let prog = polymerize(
+            let prog = search(
                 &m,
                 &lib,
-                &op.gemm_view(),
                 op,
                 &gpu_patterns(),
                 CostModelKind::Full,
@@ -841,21 +695,18 @@ mod tests {
         let (m, lib) = setup();
         for &(mm, nn, kk) in &[(777, 512, 256), (2048, 384, 128), (96, 96, 96)] {
             let op = Operator::gemm(GemmShape::new(mm, nn, kk));
-            let view = op.gemm_view();
-            let pruned = polymerize(
+            let pruned = search(
                 &m,
                 &lib,
-                &view,
                 op,
                 &gpu_patterns(),
                 CostModelKind::Full,
                 true,
                 &policy,
             );
-            let full = polymerize(
+            let full = search(
                 &m,
                 &lib,
-                &view,
                 op,
                 &gpu_patterns(),
                 CostModelKind::Full,
@@ -878,21 +729,18 @@ mod tests {
     fn wave_only_picks_larger_tiles_than_pipe_only() {
         let (m, lib) = setup();
         let op = Operator::gemm(GemmShape::new(2048, 2048, 1024));
-        let view = op.gemm_view();
-        let wave = polymerize(
+        let wave = search(
             &m,
             &lib,
-            &view,
             op,
             &gpu_patterns(),
             CostModelKind::WaveOnly,
             true,
             &SearchPolicy::default(),
         );
-        let pipe = polymerize(
+        let pipe = search(
             &m,
             &lib,
-            &view,
             op,
             &gpu_patterns(),
             CostModelKind::PipeOnly,
@@ -919,10 +767,9 @@ mod tests {
         o.n_gen = 4;
         let lib = MicroKernelLibrary::generate(&m, &o);
         let op = Operator::gemm(GemmShape::new(1234, 777, 512));
-        let prog = polymerize(
+        let prog = search(
             &m,
             &lib,
-            &op.gemm_view(),
             op,
             &all_patterns(),
             CostModelKind::Full,
@@ -957,22 +804,19 @@ mod tests {
     fn pruned_search_evaluates_far_fewer_strategies() {
         let (m, lib) = setup();
         let op = Operator::gemm(GemmShape::new(1111, 999, 512));
-        let view = op.gemm_view();
         let policy = SearchPolicy::legacy();
-        let pruned = polymerize(
+        let pruned = search(
             &m,
             &lib,
-            &view,
             op,
             &gpu_patterns(),
             CostModelKind::Full,
             true,
             &policy,
         );
-        let full = polymerize(
+        let full = search(
             &m,
             &lib,
-            &view,
             op,
             &gpu_patterns(),
             CostModelKind::Full,
@@ -1022,7 +866,7 @@ mod tests {
 
             let mut visited = Vec::new();
             let mut observer = |p: PatternId, r: &[Region]| visited.push(key(p, r));
-            let _ = polymerize_observed(
+            try_polymerize_observed(
                 &machine,
                 &lib,
                 &view,
@@ -1031,8 +875,10 @@ mod tests {
                 CostModelKind::Full,
                 true,
                 &SearchPolicy::default(),
+                None,
                 Some(&mut observer),
-            );
+            )
+            .expect("search");
             assert!(!visited.is_empty());
             for v in &visited {
                 assert!(
@@ -1054,10 +900,9 @@ mod tests {
         for &(mm, nn, kk) in &[(512, 512, 256), (768, 768, 128), (777, 333, 111)] {
             let op = Operator::gemm(GemmShape::new(mm, nn, kk));
             let view = op.gemm_view();
-            let prog = polymerize(
+            let prog = search(
                 &m,
                 &lib,
-                &view,
                 op,
                 &gpu_patterns(),
                 CostModelKind::Full,
@@ -1089,10 +934,9 @@ mod tests {
         let (m, lib) = setup();
         let op = Operator::gemm(GemmShape::new(1111, 999, 512));
         let view = op.gemm_view();
-        let full = polymerize(
+        let full = search(
             &m,
             &lib,
-            &view,
             op,
             &gpu_patterns(),
             CostModelKind::Full,
@@ -1119,31 +963,6 @@ mod tests {
             "cut search must explore less than the exhaustive one"
         );
         assert_eq!(cut.program.stats.escalations, 0, "no escalation past a cut");
-    }
-
-    /// Without a deadline, `try_polymerize` is `polymerize` behind a
-    /// `Result` — bit-identical program, no cut.
-    #[test]
-    fn try_polymerize_without_deadline_matches_polymerize() {
-        let (m, lib) = setup();
-        let op = Operator::gemm(GemmShape::new(777, 512, 256));
-        let view = op.gemm_view();
-        let plain = compile(&m, &lib, GemmShape::new(777, 512, 256));
-        let run = try_polymerize(
-            &m,
-            &lib,
-            &view,
-            op,
-            &gpu_patterns(),
-            CostModelKind::Full,
-            true,
-            &SearchPolicy::default(),
-            None,
-        )
-        .expect("deadline-free search cannot fail");
-        assert!(!run.deadline_cut);
-        assert_eq!(run.program.pattern, plain.pattern);
-        assert_eq!(run.program.regions, plain.regions);
     }
 
     /// The degraded fallback is search-free, single-region, coverage
@@ -1185,10 +1004,9 @@ mod tests {
             escalate_ratio: 1.0,
             ..SearchPolicy::default()
         };
-        let prog = polymerize(
+        let prog = search(
             &m,
             &lib,
-            &op.gemm_view(),
             op,
             &all_patterns(),
             CostModelKind::Full,
@@ -1206,10 +1024,9 @@ mod tests {
             max_escalations: 0,
             ..SearchPolicy::default()
         };
-        let fixed = polymerize(
+        let fixed = search(
             &m,
             &lib,
-            &op.gemm_view(),
             op,
             &all_patterns(),
             CostModelKind::Full,

@@ -49,7 +49,7 @@ use super::report::{
 use super::request::{
     request_shape_key, shed_record, Disposition, Request, RequestRecord, ShedReason, NO_SLOT,
 };
-use crate::compiler::{CompileBudget, MikPoly};
+use crate::compiler::{CompileBudget, FaultInjection};
 use crate::engine::{Engine, GraphPlan};
 use crate::resilience::{BreakerDecision, BreakerPolicy, CircuitBreaker, RetryPolicy};
 
@@ -70,12 +70,13 @@ pub struct ServingOptions {
     pub retry: RetryPolicy,
     /// Per-shape circuit breaker for persistent compile failures.
     pub breaker: Option<BreakerPolicy>,
-    /// Deterministic fault-injection plan, installed into the engine's
-    /// compilers for the duration of each [`ServingRuntime::serve`] call.
-    /// The compilers are shared by every runtime on the engine, so
-    /// overlapping serve calls that carry fault plans on one engine are
-    /// unsupported: each sees the other's plan, and the previous plan is
-    /// put back correctly only when such calls nest.
+    /// Deterministic fault-injection plan. Each [`ServingRuntime::serve`]
+    /// call replays it from attempt zero in a [`FaultInjection`] context
+    /// of its own, which travels with that call's compiles only. Serve
+    /// calls on one engine may overlap, each with its own plan: a program
+    /// a faulty call puts into the shared cache is marked, and every
+    /// reader validates marked programs, so no call is served another
+    /// call's corrupted program.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Continuous batching + co-launch. `None` (default) selects the
     /// solo policy.
@@ -379,10 +380,15 @@ impl ServingRuntime {
             .and_then(|p| p.max_waiting_for(request.tenant))
     }
 
-    /// The parallel compile phase for one admitted request: breaker check,
-    /// panic-isolated full compile under the budget, degraded fallback,
-    /// and the deterministic device-fault retry schedule.
-    fn compile_request(&self, request: &Request) -> CompileOutcome {
+    /// The parallel compile phase for one admitted request under the serve
+    /// call's fault context: breaker check, panic-isolated full compile
+    /// under the budget, degraded fallback, and the deterministic
+    /// device-fault retry schedule.
+    fn compile_request(
+        &self,
+        request: &Request,
+        faults: Option<&FaultInjection>,
+    ) -> CompileOutcome {
         let key = request_shape_key(request);
         let breaker = self.breaker.as_ref();
         let decision = breaker.map_or(BreakerDecision::Allow, |b| b.check(key, request.arrival_ns));
@@ -394,6 +400,7 @@ impl ServingRuntime {
                 .compile_budget
                 .map(|limit| compile_start + limit),
             degrade_only,
+            faults,
         };
         let run = |budget: CompileBudget| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -432,6 +439,7 @@ impl ServingRuntime {
                 let fallback = CompileBudget {
                     deadline: None,
                     degrade_only: true,
+                    faults,
                 };
                 match run(fallback) {
                     Ok(Ok(plan)) => (Some(plan), Some(failed_ns)),
@@ -451,7 +459,7 @@ impl ServingRuntime {
         let mut retries = 0u32;
         let mut device_failed = false;
         let mut total_device_ns = plan.as_ref().map_or(0.0, |p| p.run.device_ns);
-        if let (Some(plan), Some(fault_plan)) = (&plan, self.options.fault_plan.as_deref()) {
+        if let (Some(plan), Some(fault_plan)) = (&plan, faults.map(FaultInjection::plan)) {
             let retry = self.options.retry;
             let mut attempt = 0u32;
             while fault_plan.device_fault(request.id as u64, attempt) {
@@ -480,15 +488,15 @@ impl ServingRuntime {
     /// one [`Disposition`]. [`ServingOptions::batching`] selects the
     /// device-placement policy (see the module docs).
     pub fn serve(&self, requests: &[Request]) -> ServingReport {
-        let _fault_plan = self
+        let faults = self
             .options
             .fault_plan
             .as_ref()
-            .map(|plan| FaultPlanScope::install(&self.engine, plan));
+            .map(|plan| FaultInjection::new(Arc::clone(plan)));
         let batching = self.options.batching;
         let mut ordered: Vec<&Request> = requests.iter().collect();
         ordered.sort_by(|a, b| f64::total_cmp(&a.arrival_ns, &b.arrival_ns));
-        let admissions = self.compile_phase(&ordered, batching.is_some());
+        let admissions = self.compile_phase(&ordered, batching.is_some(), faults.as_ref());
 
         // Phase B: admission at dispatch and worker placement in arrival
         // order, against virtual free times per worker slot and per
@@ -629,11 +637,13 @@ impl ServingRuntime {
     /// outcome, or the reason the request was shed uncompiled (a drain
     /// point it arrived past, then a deadline already passed at arrival).
     /// The solo policy (`batched` false) bounds the cursor's lookahead to
-    /// the worker count and drops each plan's per-op launches.
+    /// the worker count and drops each plan's per-op launches. Every
+    /// compile runs under the serve call's fault context `faults`.
     fn compile_phase(
         &self,
         ordered: &[&Request],
         batched: bool,
+        faults: Option<&FaultInjection>,
     ) -> Vec<Result<CompileOutcome, ShedReason>> {
         let lookahead = if batched { usize::MAX } else { self.workers };
         let cursor = ArrivalCursor::new(ordered.len(), lookahead);
@@ -644,7 +654,7 @@ impl ServingRuntime {
                     scope.spawn(move || {
                         let mut slots = Vec::new();
                         while let Some(taken) = cursor.take() {
-                            let slot = self.admit(ordered[taken.index], batched);
+                            let slot = self.admit(ordered[taken.index], batched, faults);
                             slots.push((taken.index, slot));
                         }
                         slots
@@ -669,14 +679,19 @@ impl ServingRuntime {
     /// One request's phase-A slot: its pre-admission shed reason, or its
     /// compile outcome. The solo policy never reads the per-op launches,
     /// so they are dropped at once rather than held for the whole stream.
-    fn admit(&self, request: &Request, batched: bool) -> Result<CompileOutcome, ShedReason> {
+    fn admit(
+        &self,
+        request: &Request,
+        batched: bool,
+        faults: Option<&FaultInjection>,
+    ) -> Result<CompileOutcome, ShedReason> {
         if self.lifecycle.draining_at(request.arrival_ns) {
             return Err(ShedReason::Draining);
         }
         if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns) {
             return Err(ShedReason::DeadlineAtEnqueue);
         }
-        let mut outcome = self.compile_request(request);
+        let mut outcome = self.compile_request(request, faults);
         if !batched {
             if let Some(plan) = &mut outcome.plan {
                 plan.ops = Vec::new();
@@ -816,30 +831,6 @@ impl ServingRuntime {
             cache,
             makespan_ns,
             breaker_opens,
-        }
-    }
-}
-
-/// Installs a serve call's fault plan into the engine's compilers and
-/// puts their previous plans back when dropped, so the plan never
-/// outlives the call, even one that unwinds.
-struct FaultPlanScope<'a> {
-    previous: [(&'a MikPoly, Option<Arc<FaultPlan>>); 2],
-}
-
-impl<'a> FaultPlanScope<'a> {
-    fn install(engine: &'a Engine, plan: &Arc<FaultPlan>) -> Self {
-        let previous = [engine.gemm_compiler(), engine.conv_compiler()]
-            .map(|compiler| (compiler, compiler.fault_plan()));
-        engine.set_fault_plan(Some(Arc::clone(plan)));
-        Self { previous }
-    }
-}
-
-impl Drop for FaultPlanScope<'_> {
-    fn drop(&mut self) {
-        for (compiler, plan) in &mut self.previous {
-            compiler.set_fault_plan(plan.take());
         }
     }
 }
@@ -1513,28 +1504,67 @@ mod tests {
         assert_eq!(report.records[5].cache_wait_ns, 0);
     }
 
+    /// Overlapping serve calls on one engine each see only their own fault
+    /// plan. Call A's plan panics every compile of some shapes and stalls
+    /// the rest; A stays in flight on a stalled compile while a clean call
+    /// B serves shapes A's plan would panic on, and B completes them all.
+    /// After A returns, a clean call still compiles a new such shape
+    /// cleanly: no plan outlives its call.
     #[test]
-    fn serve_restores_the_engine_fault_plan() {
+    fn overlapping_serves_each_see_only_their_own_fault_plan() {
         let engine = engine();
-        let gemm = |m, n, k| Operator::gemm(GemmShape::new(m, n, k));
+        let plan = FaultPlan {
+            seed: 3,
+            compile_panic_rate: 0.5,
+            panic_attempts: u32::MAX,
+            search_stall_rate: 1.0,
+            search_stall_ns: 500_000_000,
+            ..FaultPlan::none()
+        };
+        let panics = |op: &Operator| plan.compile_panics(crate::compiler::shape_key(op), 0);
+        let (panicking, stalling): (Vec<Operator>, Vec<Operator>) = (0..64)
+            .map(|i| Operator::gemm(GemmShape::new(100 + 7 * i, 256, 128)))
+            .partition(|op| panics(op));
+        let [a_panics, b_first, b_second, after, ..] = panicking[..] else {
+            panic!("too few panicking shapes: {panicking:?}");
+        };
         let faulty = ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 1)
             .with_options(ServingOptions {
-                fault_plan: Some(Arc::new(FaultPlan {
-                    seed: 3,
-                    compile_panic_rate: 1.0,
-                    ..FaultPlan::none()
-                })),
+                fault_plan: Some(Arc::new(plan.clone())),
                 ..ServingOptions::default()
             });
-        let report = faulty.serve(&[Request::single(0, 0.0, gemm(256, 256, 256))]);
-        assert_eq!(report.records[0].disposition, Disposition::Degraded);
-        assert!(engine.gemm_compiler().fault_plan().is_none());
-        assert!(engine.conv_compiler().fault_plan().is_none());
-        // A fault-free runtime on the same engine compiles a new shape
-        // cleanly: the plan did not outlive its serve call.
-        let plain = ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 1)
-            .serve(&[Request::single(0, 0.0, gemm(777, 512, 256))]);
-        assert_eq!(plain.records[0].disposition, Disposition::Completed);
+        let serve_clean = |ops: &[Operator]| {
+            let requests: Vec<Request> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, &op)| Request::single(i, i as f64 * 10_000.0, op))
+                .collect();
+            ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 2)
+                .serve(&requests)
+                .records
+                .iter()
+                .map(|r| r.disposition)
+                .collect::<Vec<_>>()
+        };
+        let compiler = engine.gemm_compiler();
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                faulty.serve(&[
+                    Request::single(0, 0.0, stalling[0]),
+                    Request::single(1, 10_000.0, a_panics),
+                ])
+            });
+            // A's first compile is stalled in flight from its miss on.
+            while compiler.cache_stats().in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            let b = serve_clean(&[b_first, b_second]);
+            (a.join().unwrap(), b)
+        });
+        assert_eq!(b, [Disposition::Completed; 2], "B saw A's faults");
+        let a: Vec<_> = a.records.iter().map(|r| r.disposition).collect();
+        assert_eq!(a, [Disposition::Completed, Disposition::Degraded]);
+        assert_eq!(serve_clean(&[after]), [Disposition::Completed]);
     }
 
     #[test]
@@ -1544,11 +1574,11 @@ mod tests {
         // first-read device simulations far costlier than the failed
         // attempt plus the search-free fallback compiles.
         let engine = engine();
-        engine.set_fault_plan(Some(Arc::new(FaultPlan {
+        let faults = FaultInjection::new(Arc::new(FaultPlan {
             compile_panic_rate: 1.0,
             panic_attempts: u32::MAX,
             ..FaultPlan::none()
-        })));
+        }));
         let ops: Vec<(Operator, usize)> = (0..4)
             .map(|i| (Operator::gemm(GemmShape::new(8192 + 64 * i, 8192, 256)), 1))
             .collect();
@@ -1557,12 +1587,12 @@ mod tests {
             ..Request::single(0, 0.0, ops[0].0)
         };
         let runtime = ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 1);
-        let outcome = runtime.compile_request(&request);
+        let outcome = runtime.compile_request(&request, Some(&faults));
         let plan = outcome.plan.expect("the fallback serves");
         assert_eq!(plan.run.degraded, ops.len());
         let degraded = CompileBudget {
-            deadline: None,
             degrade_only: true,
+            ..CompileBudget::default()
         };
         let sim_start = Instant::now();
         for (op, _) in &ops {

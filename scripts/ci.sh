@@ -163,6 +163,18 @@ tail -n 1 "$smoke_dir/perfbench.txt" | grep -q '"correct": true' || {
   exit 1
 }
 
+# The same smoke on cold-npu: the only workload whose compiles reach the
+# deep patterns (III-IX), the max-min allocator and static-allocation
+# simulation behind try_polymerize.
+echo "==> perfbench smoke: cold-npu, 1 s"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload cold-npu --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench-npu.txt"
+tail -n 1 "$smoke_dir/perfbench-npu.txt" | grep -q '"correct": true' || {
+  echo "error: perfbench cold-npu smoke did not report \"correct\": true" >&2
+  tail -n 2 "$smoke_dir/perfbench-npu.txt" >&2
+  exit 1
+}
+
 # The same smoke on burst-batched, which serves through the batched
 # placement policy (cold-gpu above runs solo), so both dispatch policies
 # are checked end to end.

@@ -12,7 +12,8 @@ use std::sync::OnceLock;
 use mikpoly_suite::accel_sim::MachineModel;
 use mikpoly_suite::mikpoly::pattern::gpu_patterns;
 use mikpoly_suite::mikpoly::{
-    polymerize, CostModelKind, MicroKernelLibrary, OfflineOptions, SearchPolicy,
+    try_polymerize, CompiledProgram, CostModelKind, MicroKernelLibrary, OfflineOptions,
+    SearchPolicy,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 use proptest::prelude::*;
@@ -29,10 +30,11 @@ fn setup() -> (&'static MachineModel, &'static MicroKernelLibrary) {
     (m, l)
 }
 
-fn compile(shape: GemmShape, prune: bool, policy: &SearchPolicy) -> f64 {
+/// The deadline-free search's program for a GEMM of `shape`.
+fn search(shape: GemmShape, prune: bool, policy: &SearchPolicy) -> CompiledProgram {
     let (machine, lib) = setup();
     let op = Operator::gemm(shape);
-    let program = polymerize(
+    try_polymerize(
         machine,
         lib,
         &op.gemm_view(),
@@ -41,7 +43,14 @@ fn compile(shape: GemmShape, prune: bool, policy: &SearchPolicy) -> f64 {
         CostModelKind::Full,
         prune,
         policy,
-    );
+        None,
+    )
+    .expect("a deadline-free search over a generated library cannot fail")
+    .program
+}
+
+fn compile(shape: GemmShape, prune: bool, policy: &SearchPolicy) -> f64 {
+    let program = search(shape, prune, policy);
     program.verify_coverage().expect("coverage");
     program.predicted_ns
 }
@@ -101,19 +110,8 @@ proptest! {
 /// and fixed searches are bit-identical.
 #[test]
 fn unlimited_budget_never_escalates() {
-    let (machine, lib) = setup();
     for (m, n, k) in [(777usize, 333usize, 111usize), (2048, 384, 128)] {
-        let op = Operator::gemm(GemmShape::new(m, n, k));
-        let program = polymerize(
-            machine,
-            lib,
-            &op.gemm_view(),
-            op,
-            &gpu_patterns(),
-            CostModelKind::Full,
-            true,
-            &SearchPolicy::default(),
-        );
+        let program = search(GemmShape::new(m, n, k), true, &SearchPolicy::default());
         assert_eq!(program.stats.escalations, 0, "{m}x{n}x{k}");
         assert_eq!(program.stats.budget_exhausted, 0, "{m}x{n}x{k}");
     }

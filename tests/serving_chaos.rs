@@ -13,8 +13,9 @@ use std::time::{Duration, Instant};
 use mikpoly_conformance::assert_matches_reference;
 use mikpoly_suite::accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly_suite::mikpoly::{
-    execute_gemm, poisson_arrivals, BreakerPolicy, CompileBudget, Disposition, Engine, MikPoly,
-    OfflineOptions, OnlineOptions, Request, ServingOptions, ServingRuntime, TemplateKind,
+    execute_gemm, poisson_arrivals, BreakerPolicy, CompileBudget, Disposition, Engine,
+    FaultInjection, MikPoly, OfflineOptions, OnlineOptions, Request, ServingOptions,
+    ServingRuntime, TemplateKind,
 };
 use mikpoly_suite::tensor_ir::{reference_gemm, GemmShape, Operator, Tensor};
 
@@ -423,8 +424,8 @@ fn degraded_and_poison_recovered_programs_match_reference() {
         .try_compile(
             &op,
             CompileBudget {
-                deadline: None,
                 degrade_only: true,
+                ..CompileBudget::default()
             },
         )
         .expect("degraded compile succeeds");
@@ -434,13 +435,19 @@ fn degraded_and_poison_recovered_programs_match_reference() {
 
     // Poisoned-entry path: every first compile of a shape is corrupted;
     // validation must evict and recompile to a correct program.
-    compiler.set_fault_plan(Some(Arc::new(FaultPlan {
+    let faults = FaultInjection::new(Arc::new(FaultPlan {
         seed: 5,
         cache_corrupt_rate: 1.0,
         ..FaultPlan::none()
-    })));
+    }));
     let recovered = compiler
-        .try_compile(&op, CompileBudget::default())
+        .try_compile(
+            &op,
+            CompileBudget {
+                faults: Some(&faults),
+                ..CompileBudget::default()
+            },
+        )
         .expect("poison recovery succeeds");
     assert!(
         recovered.poison_retries > 0,

@@ -10,7 +10,8 @@ use mikpoly_suite::accel_sim::{Cluster, Interconnect, MachineModel};
 use mikpoly_suite::mikpoly::serving::poisson_arrivals;
 use mikpoly_suite::mikpoly::telemetry::{Clock, Telemetry};
 use mikpoly_suite::mikpoly::{
-    execute_gemm, CacheOutcome, Engine, MikPoly, OfflineOptions, Request, ServingRuntime,
+    execute_gemm, CacheOutcome, CompileBudget, Engine, MikPoly, OfflineOptions, Request,
+    ServingRuntime,
 };
 use mikpoly_suite::tensor_ir::{reference_gemm, GemmShape, Operator, Tensor};
 
@@ -109,14 +110,18 @@ fn eight_threads_overlapping_shapes_single_flight_and_correct() {
 }
 
 #[test]
-fn compile_with_outcome_roles_are_consistent() {
+fn try_compile_roles_are_consistent() {
     let c = Arc::new(compiler());
     let op = Operator::gemm(GemmShape::new(640, 384, 128));
     let outcomes: Vec<CacheOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let c = Arc::clone(&c);
-                scope.spawn(move || c.compile_with_outcome(&op).1)
+                scope.spawn(move || {
+                    c.try_compile(&op, CompileBudget::default())
+                        .expect("compile")
+                        .outcome
+                })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
