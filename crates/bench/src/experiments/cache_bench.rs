@@ -24,9 +24,8 @@
 //! machine that produced them (on a 1- or 2-CPU host the implementation
 //! comparison and the single-thread hit cost are the meaningful signals).
 //! Also measured: per-hit latency percentiles on a fully warmed cache,
-//! and restart-to-warm time for a 10k-program cache through the binary
-//! bundle format (budget: 100 ms) vs. the legacy JSON format. Emits
-//! `results/cache-bench.json`.
+//! and restart-to-warm time for a 10k-program cache through the bundle
+//! format (budget: 100 ms). Emits `results/cache-bench.json`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,7 +243,6 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let ops = if quick { 40_000 } else { 400_000 };
     let latency_samples = if quick { 20_000 } else { 100_000 };
     let restart_entries = if quick { 2_000 } else { 10_000 };
-    let legacy_entries = if quick { 100 } else { 500 };
     let thread_counts = [1usize, 2, 4, 8];
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -295,48 +293,21 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let lk_p99 = percentile(&lk_lat, 99.0);
 
     // Restart-to-warm: a synthetic production-sized cache through the
-    // binary bundle, and the legacy JSON format on a smaller bundle (the
-    // vendored JSON parser is superlinear — which is the point of the
-    // binary format).
+    // bundle format.
     let gpu = h.gpu();
     let warm_src = h.compiler(&gpu, TemplateKind::Gemm);
     let programs = synthetic_programs(&warm_src, restart_entries);
     let dir = std::env::temp_dir();
     let tag = std::process::id();
     let bin_path = dir.join(format!("mikpoly-bench-cache-{tag}.mpac"));
-    let json_path = dir.join(format!("mikpoly-bench-cache-{tag}.json"));
     std::fs::write(&bin_path, encode_bundle(programs.iter())).expect("write bundle");
-    let loader = MikPoly::with_library(gpu.clone(), warm_src.library().clone());
+    let loader = MikPoly::with_library(gpu, warm_src.library().clone());
     let t0 = Instant::now();
     let restored = loader.load_program_cache(&bin_path).expect("binary load");
     let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(restored, restart_entries, "binary bundle lost programs");
 
-    let legacy_src = MikPoly::with_library(gpu.clone(), warm_src.library().clone());
-    std::fs::write(
-        &bin_path,
-        encode_bundle(programs.iter().take(legacy_entries)),
-    )
-    .expect("write subset");
-    legacy_src
-        .load_program_cache(&bin_path)
-        .expect("subset load");
-    legacy_src
-        .save_program_cache_json(&json_path)
-        .expect("legacy save");
-    let legacy_loader = MikPoly::with_library(gpu, warm_src.library().clone());
-    let t0 = Instant::now();
-    let legacy_restored = legacy_loader
-        .load_program_cache(&json_path)
-        .expect("legacy load");
-    let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        legacy_restored, legacy_entries,
-        "legacy bundle lost programs"
-    );
-    let legacy_ms_per_program = legacy_ms / legacy_entries as f64;
     let _ = std::fs::remove_file(&bin_path);
-    let _ = std::fs::remove_file(&json_path);
 
     let mut report = Report::new(
         "cache-bench",
@@ -419,9 +390,6 @@ pub fn run(h: &Harness) -> Vec<Report> {
             "binary_programs": restart_entries,
             "binary_ms": warm_ms,
             "binary_budget_ms": 100.0,
-            "legacy_json_programs": legacy_entries,
-            "legacy_json_ms": legacy_ms,
-            "legacy_json_ms_per_program": legacy_ms_per_program,
         },
     });
     let path = h.config.results_dir.join("cache-bench.json");

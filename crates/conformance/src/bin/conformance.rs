@@ -13,8 +13,8 @@
 //! the process. `gate` measures the oracle gap over the pinned corpus and
 //! fails when the p95 exceeds the threshold. `crash` runs the durable
 //! warm-state crash matrix: every-offset truncation, seeded bit flips,
-//! and arbitrary bytes must never panic the loader, and salvage must
-//! recover exactly the valid record prefix.
+//! arbitrary bytes and checksummed hostile records must never panic the
+//! loader, and salvage must recover exactly the valid record prefix.
 
 use std::process::ExitCode;
 

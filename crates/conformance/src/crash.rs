@@ -4,8 +4,10 @@
 //! two promises about arbitrary on-disk damage:
 //!
 //! 1. **The loader never panics** — not on truncation, not on bit flips,
-//!    not on attacker-shaped garbage. Damage is a value
-//!    ([`mikpoly::SalvagedBundle`]), never a crash.
+//!    not on attacker-shaped garbage, not on a record whose checksums
+//!    pass but whose operator is malformed. Damage is a value
+//!    ([`mikpoly::SalvagedBundle`], [`mikpoly::RestoreReport`]), never a
+//!    crash.
 //! 2. **Salvage is exact** — truncating a bundle at *any* byte offset
 //!    recovers precisely the records whose bytes (payload + CRC) lie
 //!    entirely before the cut: the longest valid prefix, nothing more,
@@ -15,22 +17,22 @@
 //! freshly compiled programs, then truncates it at **every** byte offset,
 //! flips seeded random bits, and feeds seeded arbitrary bytes through the
 //! strict and salvage decoders under `catch_unwind`. The
-//! [`record_end_offsets`] index is the oracle for promise 2. The same
-//! sweep runs against the previous binary format (v2, no checksums) for
-//! the no-panic promise — v2 predates per-record CRCs, so its salvage
-//! prefix stops at the first *structurally* invalid record instead.
+//! [`record_end_offsets`] index is the oracle for promise 2. A quarter of
+//! the blobs are well-formed bundles holding one hostile record (valid
+//! checksums, an operator no `tensor_ir` constructor would build); those
+//! go through the loaders themselves — `MikPoly::load_program_cache_bytes`
+//! and `Engine::restore_program_caches` of a committed generation — which
+//! must reject them.
 //!
-//! `scripts/ci.sh` runs this via `conformance crash --seed N`; the
-//! `cache-bench` CLI embeds a smaller copy of the same matrix so the
-//! persistence benchmark exercises its own format.
+//! `scripts/ci.sh` runs this via `conformance crash --seed N`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mikpoly::{
-    decode_bundle, encode_bundle, encode_bundle_v2, record_end_offsets, salvage_bundle,
-    CompiledProgram,
+    crc32, decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, CompiledProgram,
+    Manifest,
 };
-use tensor_ir::{GemmShape, Operator};
+use tensor_ir::{Conv2dShape, DType, GemmShape, Operator};
 
 use crate::rng::XorShift64;
 use crate::{ConformanceEnv, MachineKind};
@@ -43,7 +45,7 @@ pub struct CrashConfig {
     pub seed: u64,
     /// Distinct programs encoded into the probe bundle.
     pub programs: usize,
-    /// Single-bit-flip trials against the v3 bundle.
+    /// Single-bit-flip trials against the bundle.
     pub flips: usize,
     /// Arbitrary-bytes decoder trials.
     pub fuzz_blobs: usize,
@@ -64,7 +66,7 @@ impl Default for CrashConfig {
 /// found. An empty [`CrashReport::violations`] is the pass condition.
 #[derive(Debug, Clone, Default)]
 pub struct CrashReport {
-    /// Truncation offsets swept (v3 and v2 bundles combined).
+    /// Truncation offsets swept.
     pub truncations: usize,
     /// Bit-flip trials run.
     pub flips: usize,
@@ -101,15 +103,13 @@ fn no_panic<T>(context: &str, f: impl FnOnce() -> T) -> Result<T, String> {
         .map_err(|payload| format!("{context}: PANICKED: {}", mikpoly::panic_reason(&*payload)))
 }
 
-/// Truncates `bytes` at every offset and checks the salvage contract.
-/// With `ends` (the v3 record-end oracle) the salvaged count must equal
-/// the exact valid prefix; without it (v2) only the no-panic and
-/// prefix-monotonicity promises apply.
-fn truncation_sweep(label: &str, bytes: &[u8], ends: Option<&[usize]>, report: &mut CrashReport) {
-    let mut previous = 0usize;
+/// Truncates `bytes` at every offset and checks the salvage contract:
+/// the salvaged count must equal the exact valid prefix that the
+/// record-end oracle `ends` predicts.
+fn truncation_sweep(bytes: &[u8], ends: &[usize], report: &mut CrashReport) {
     for cut in 0..=bytes.len() {
         report.truncations += 1;
-        let salvage = match no_panic(&format!("{label} truncated at {cut}"), || {
+        let salvage = match no_panic(&format!("bundle truncated at {cut}"), || {
             salvage_bundle(&bytes[..cut])
         }) {
             Ok(salvage) => salvage,
@@ -118,29 +118,19 @@ fn truncation_sweep(label: &str, bytes: &[u8], ends: Option<&[usize]>, report: &
                 continue;
             }
         };
-        if let Some(ends) = ends {
-            let expected = ends.iter().filter(|&&end| end <= cut).count();
-            if salvage.programs.len() != expected {
-                report.violations.push(format!(
-                    "{label} truncated at {cut}: salvaged {} records, expected the exact \
-                     valid prefix of {expected}",
-                    salvage.programs.len()
-                ));
-            }
-        } else if salvage.programs.len() < previous && cut < bytes.len() {
-            // Without per-record CRCs the exact count is format-defined,
-            // but more bytes can never salvage fewer records.
+        let expected = ends.iter().filter(|&&end| end <= cut).count();
+        if salvage.programs.len() != expected {
             report.violations.push(format!(
-                "{label} truncated at {cut}: salvage went backwards ({} after {previous})",
+                "bundle truncated at {cut}: salvaged {} records, expected the exact \
+                 valid prefix of {expected}",
                 salvage.programs.len()
             ));
         }
         if cut == bytes.len() && !salvage.clean {
-            report.violations.push(format!(
-                "{label}: the undamaged bundle did not decode clean"
-            ));
+            report
+                .violations
+                .push("the undamaged bundle did not decode clean".to_string());
         }
-        previous = salvage.programs.len();
     }
 }
 
@@ -169,23 +159,127 @@ fn bit_flip_trials(bytes: &[u8], config: &CrashConfig, report: &mut CrashReport)
     }
 }
 
+/// An operator no `tensor_ir` constructor would build, one per rule the
+/// decoder must enforce: zero extent, zero stride, filter larger than the
+/// padded input, Winograd off its 3x3 stride-1 domain, and a GEMM view
+/// that overflows `usize`.
+fn hostile_operator(pick: u64) -> Operator {
+    let gemm = GemmShape::new(64, 64, 64);
+    let conv = Conv2dShape::new(1, 16, 14, 14, 16, 3, 3, 1, 1);
+    let dtype = DType::F16;
+    match pick % 6 {
+        0 => Operator::Conv2d {
+            shape: Conv2dShape { stride: 0, ..conv },
+            dtype,
+        },
+        1 => Operator::BatchedGemm {
+            batch: 0,
+            shape: gemm,
+            dtype,
+        },
+        2 => Operator::Gemm {
+            shape: GemmShape { k: 0, ..gemm },
+            dtype,
+        },
+        3 => Operator::Conv2d {
+            shape: Conv2dShape {
+                kernel_h: 17,
+                ..conv
+            },
+            dtype,
+        },
+        4 => Operator::Conv2dWinograd {
+            shape: Conv2dShape { stride: 2, ..conv },
+            dtype,
+        },
+        _ => Operator::BatchedGemm {
+            batch: usize::MAX,
+            shape: gemm,
+            dtype,
+        },
+    }
+}
+
+/// Feeds a bundle whose checksums pass but whose one record carries a
+/// hostile operator through both loaders: the strict in-memory load and
+/// the restore of a committed generation must each reject it, without a
+/// panic and without adopting anything.
+fn hostile_record_trial(
+    env: &ConformanceEnv,
+    base: &CompiledProgram,
+    trial: usize,
+    operator: Operator,
+    report: &mut CrashReport,
+) {
+    let context = &format!("hostile record #{trial} ({operator:?})");
+    let mut program = base.clone();
+    program.operator = operator;
+    let bundle = encode_bundle([&program]);
+    let engine = env.engine(MachineKind::Gpu);
+    match no_panic(context, || {
+        engine.gemm_compiler().load_program_cache_bytes(&bundle)
+    }) {
+        Ok(Ok(n)) => report
+            .violations
+            .push(format!("{context}: the loader ACCEPTED {n} program(s)")),
+        Ok(Err(_)) => {}
+        Err(violation) => report.violations.push(violation),
+    }
+    let dir = std::env::temp_dir().join(format!(
+        "mikpoly-crash-hostile-{}-{trial}",
+        std::process::id()
+    ));
+    let restored = no_panic(context, || -> std::io::Result<_> {
+        std::fs::create_dir_all(&dir)?;
+        let name = "gemm.mpac.1";
+        std::fs::write(dir.join(name), &bundle)?;
+        Manifest {
+            generation: 1,
+            bundles: vec![(name.to_string(), bundle.len() as u64, crc32(&bundle))],
+        }
+        .commit(&dir)?;
+        Ok(engine.restore_program_caches(&dir))
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    match restored {
+        Ok(Ok(restore)) if restore.degraded() && restore.restored() == 0 => {}
+        Ok(Ok(restore)) => report.violations.push(format!(
+            "{context}: restore did not quarantine the bundle:\n{restore}"
+        )),
+        Ok(Err(e)) => report
+            .violations
+            .push(format!("{context}: staging the generation failed: {e}")),
+        Err(violation) => report.violations.push(violation),
+    }
+}
+
 /// Feeds seeded arbitrary bytes to both decoders. Half the blobs carry a
-/// valid-looking `MPAC` header so the deeper decode paths get exercised,
-/// a few lead with `{` to land in the legacy-JSON path.
-fn fuzz_blob_trials(config: &CrashConfig, report: &mut CrashReport) {
+/// valid-looking `MPAC` header so the deeper decode paths get exercised;
+/// a quarter are hostile-record bundles fed through the loaders.
+fn fuzz_blob_trials(
+    env: &ConformanceEnv,
+    base: &CompiledProgram,
+    config: &CrashConfig,
+    report: &mut CrashReport,
+) {
     let mut rng = XorShift64::new(config.seed ^ 0xb10b);
     for trial in 0..config.fuzz_blobs {
         report.fuzz_blobs += 1;
         let len = (rng.next_u64() % 512) as usize;
         let mut blob: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
         match trial % 4 {
-            // Plausible v3/v2 header over garbage: magic + version.
+            // Plausible header over garbage: magic + the current or a
+            // retired version.
             0 | 1 if blob.len() >= 8 => {
                 blob[..4].copy_from_slice(b"MPAC");
                 let version = if trial % 4 == 0 { 3u32 } else { 2u32 };
                 blob[4..8].copy_from_slice(&version.to_le_bytes());
             }
-            2 if !blob.is_empty() => blob[0] = b'{',
+            2 => {
+                let operator = hostile_operator(rng.next_u64());
+                hostile_record_trial(env, base, trial, operator, report);
+                continue;
+            }
             _ => {}
         }
         let context = format!("fuzz blob #{trial} ({len} bytes)");
@@ -199,23 +293,21 @@ fn fuzz_blob_trials(config: &CrashConfig, report: &mut CrashReport) {
     }
 }
 
-/// Runs the full crash matrix: the every-offset truncation sweep against
-/// v3 (exact-prefix oracle) and v2 (no-panic) bundles, the single-bit
-/// flip trials, and the arbitrary-bytes trials.
+/// Runs the full crash matrix: the every-offset truncation sweep
+/// (exact-prefix oracle), the single-bit flip trials, and the
+/// arbitrary-bytes and hostile-record trials.
 pub fn crash_run(env: &ConformanceEnv, config: &CrashConfig) -> CrashReport {
     let mut report = CrashReport::default();
     let programs = probe_programs(env, config.programs.max(1));
-    let v3 = encode_bundle(programs.iter());
-    let v2 = encode_bundle_v2(programs.iter());
-    match record_end_offsets(&v3) {
-        Ok(ends) => truncation_sweep("v3 bundle", &v3, Some(&ends), &mut report),
-        Err(e) => report.violations.push(format!(
-            "record_end_offsets rejected a fresh v3 bundle: {e}"
-        )),
+    let bundle = encode_bundle(programs.iter());
+    match record_end_offsets(&bundle) {
+        Ok(ends) => truncation_sweep(&bundle, &ends, &mut report),
+        Err(e) => report
+            .violations
+            .push(format!("record_end_offsets rejected a fresh bundle: {e}")),
     }
-    truncation_sweep("v2 bundle", &v2, None, &mut report);
-    bit_flip_trials(&v3, config, &mut report);
-    fuzz_blob_trials(config, &mut report);
+    bit_flip_trials(&bundle, config, &mut report);
+    fuzz_blob_trials(env, &programs[0], config, &mut report);
     report
 }
 

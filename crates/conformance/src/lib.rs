@@ -20,8 +20,9 @@
 //!   regression in the Eq. 2 model is caught in CI, not as benchmark drift.
 //! * **Crash-injection matrix** ([`crash_run`]): truncates the durable
 //!   warm-state bundle at every byte offset, flips seeded bits, and feeds
-//!   arbitrary bytes through the loaders, proving recovery never panics
-//!   and salvage recovers exactly the valid record prefix.
+//!   arbitrary bytes and checksummed hostile records through the loaders,
+//!   proving recovery never panics and salvage recovers exactly the valid
+//!   record prefix.
 //!
 //! The `conformance` binary exposes the fuzzer, gate, and crash matrix to
 //! `scripts/ci.sh`.

@@ -21,7 +21,6 @@
 //! mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--capacity N]
 //!               [--theta F] [--seed N] [--min-hit-rate F]
 //!               [--restart-entries N] [--restart-budget-ms N] [--machine ...]
-//!               [--crash-programs N] [--crash-flips N]
 //! ```
 //!
 //! Runs the offline stage (cached in-process), polymerizes the requested
@@ -62,10 +61,9 @@ use accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly::serving::poisson_arrivals;
 use mikpoly::telemetry::{render_blackbox, SloPolicy, Telemetry};
 use mikpoly::{
-    decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, BatchingOptions,
-    BreakerPolicy, CacheStats, CompiledProgram, Disposition, Engine, MikPoly, OfflineOptions,
-    OnlineOptions, PatternId, Region, Request, ServingOptions, ServingRuntime, ShardedCache,
-    Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
+    encode_bundle, BatchingOptions, BreakerPolicy, CacheStats, CompiledProgram, Disposition,
+    Engine, MikPoly, OfflineOptions, OnlineOptions, PatternId, Region, Request, ServingOptions,
+    ServingRuntime, ShardedCache, Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -880,10 +878,9 @@ fn synthetic_programs(compiler: &MikPoly, n: usize) -> Vec<CompiledProgram> {
 
 /// Stress-benches the program cache: a bounded `ShardedCache` under
 /// skewed (Zipfian) read-heavy traffic from N threads, then a
-/// warm-restart round trip through both bundle formats (binary and
-/// legacy JSON). Prints throughput, hit rate, and restart timings, and
-/// exits non-zero if any cache invariant is violated, the hit rate falls
-/// below the floor, a round trip loses programs, or the binary restart
+/// warm restart from a bundle file. Prints throughput, hit rate, and the
+/// restart time, and exits non-zero if any cache invariant is violated,
+/// the hit rate falls below the floor, the restart loses programs, or it
 /// misses its budget — the CI cache smoke.
 fn cache_bench(machine: MachineModel, args: &[String]) {
     let threads: usize = parsed_flag(args, "--threads").unwrap_or(4);
@@ -895,11 +892,6 @@ fn cache_bench(machine: MachineModel, args: &[String]) {
     let min_hit_rate: f64 = parsed_flag(args, "--min-hit-rate").unwrap_or(0.3);
     let restart_entries: usize = parsed_flag(args, "--restart-entries").unwrap_or(10_000);
     let restart_budget_ms: u64 = parsed_flag(args, "--restart-budget-ms").unwrap_or(1_000);
-    // The legacy-JSON compatibility gate runs on a smaller bundle: the
-    // vendored serde_json parser is superlinear in document size, which
-    // is exactly why the binary format exists.
-    let legacy_entries: usize =
-        parsed_flag(args, "--legacy-entries").unwrap_or_else(|| restart_entries.min(500));
     if threads == 0 || ops == 0 || keys == 0 || capacity == 0 {
         usage("cache-bench needs positive --threads/--ops/--keys/--capacity");
     }
@@ -1002,18 +994,16 @@ fn cache_bench(machine: MachineModel, args: &[String]) {
         stats.evictions
     );
 
-    // Phase 2: warm-restart round trip. Synthetic programs built from a
-    // real library stand in for a production-sized compiled cache; the
-    // binary load must beat the budget, and a save→load round trip
-    // through *both* formats must preserve every program.
+    // Phase 2: warm restart. Synthetic programs built from a real
+    // library stand in for a production-sized compiled cache; loading
+    // their bundle must restore every program within the budget.
     eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
     let mut offline = OfflineOptions::fast();
     offline.n_gen = 4;
-    let a = MikPoly::offline(machine.clone(), &offline);
+    let a = MikPoly::offline(machine, &offline);
     let programs = synthetic_programs(&a, restart_entries);
     let tag = std::process::id();
     let bin_path = std::env::temp_dir().join(format!("mikpoly-cache-bench-{tag}.mpac"));
-    let json_path = std::env::temp_dir().join(format!("mikpoly-cache-bench-{tag}.json"));
     if let Err(e) = std::fs::write(&bin_path, encode_bundle(programs.iter())) {
         eprintln!("error: writing {}: {e}", bin_path.display());
         std::process::exit(1);
@@ -1034,97 +1024,7 @@ fn cache_bench(machine: MachineModel, args: &[String]) {
         ));
     }
     println!("restart: {restart_entries} programs to warm in {warm_ms:.1}ms (binary bundle)");
-
-    // Round trip on a smaller bundle: binary → legacy JSON save → fresh
-    // load → binary re-save → fresh load. Counts must hold at every hop
-    // (the legacy-format compatibility gate).
-    let b = MikPoly::with_library(machine.clone(), a.library().clone());
-    if let Err(e) = std::fs::write(
-        &bin_path,
-        encode_bundle(programs.iter().take(legacy_entries)),
-    ) {
-        eprintln!("error: writing {}: {e}", bin_path.display());
-        std::process::exit(1);
-    }
-    match b.load_program_cache(&bin_path) {
-        Ok(n) if n == legacy_entries => {}
-        Ok(n) => violation(format!(
-            "subset load restored {n}/{legacy_entries} programs"
-        )),
-        Err(e) => violation(format!("subset load failed: {e}")),
-    }
-    if let Err(e) = b.save_program_cache_json(&json_path) {
-        violation(format!("legacy JSON save failed: {e}"));
-    }
-    let c = MikPoly::with_library(machine.clone(), a.library().clone());
-    let t0 = std::time::Instant::now();
-    match c.load_program_cache(&json_path) {
-        Ok(n) if n == legacy_entries => {}
-        Ok(n) => violation(format!(
-            "legacy load restored {n}/{legacy_entries} programs"
-        )),
-        Err(e) => violation(format!("legacy load failed: {e}")),
-    }
-    let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!("restart: {legacy_entries} programs to warm in {legacy_ms:.1}ms (legacy JSON)");
-    if let Err(e) = c.save_program_cache(&bin_path) {
-        violation(format!("binary re-save failed: {e}"));
-    }
-    let d = MikPoly::with_library(machine, a.library().clone());
-    match d.load_program_cache(&bin_path) {
-        Ok(n) if n == legacy_entries => {}
-        Ok(n) => violation(format!(
-            "binary round trip kept {n}/{legacy_entries} programs"
-        )),
-        Err(e) => violation(format!("binary round-trip load failed: {e}")),
-    }
     let _ = std::fs::remove_file(&bin_path);
-    let _ = std::fs::remove_file(&json_path);
-
-    // Phase 3: crash matrix over the checksummed format. Truncate a
-    // bundle at every byte offset — salvage must recover exactly the
-    // records whose bytes end before the cut — then flip seeded bits —
-    // the strict decoder must reject every one (CRC32 catches any
-    // single-bit flip). The conformance crate's `crash` subcommand runs
-    // the larger matrix; this phase keeps the persistence benchmark
-    // honest about its own format.
-    let crash_programs: usize = parsed_flag(args, "--crash-programs").unwrap_or(8);
-    let crash_flips: usize = parsed_flag(args, "--crash-flips").unwrap_or(128);
-    let bundle = encode_bundle(programs.iter().take(crash_programs.max(1)));
-    match record_end_offsets(&bundle) {
-        Ok(ends) => {
-            for cut in 0..=bundle.len() {
-                let salvage = salvage_bundle(&bundle[..cut]);
-                let expected = ends.iter().filter(|&&end| end <= cut).count();
-                if salvage.programs.len() != expected {
-                    violation(format!(
-                        "truncation at {cut}: salvaged {} records, expected the exact \
-                         prefix of {expected}",
-                        salvage.programs.len()
-                    ));
-                    break;
-                }
-            }
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xc4a5);
-            for _ in 0..crash_flips {
-                let pos = rng.gen_range(0..bundle.len());
-                let bit: u8 = rng.gen_range(0..8);
-                let mut damaged = bundle.clone();
-                damaged[pos] ^= 1 << bit;
-                if decode_bundle(&damaged).is_ok() {
-                    violation(format!(
-                        "bit flip at byte {pos} bit {bit} went undetected by the strict decoder"
-                    ));
-                }
-                let _ = salvage_bundle(&damaged);
-            }
-            println!(
-                "crash: {} truncation offsets and {crash_flips} bit flips held the salvage contract",
-                bundle.len() + 1
-            );
-        }
-        Err(e) => violation(format!("record_end_offsets rejected a fresh bundle: {e}")),
-    }
 
     if violations > 0 {
         eprintln!("\ncache-bench: {violations} invariant violation(s)");
@@ -1174,6 +1074,5 @@ fn usage(msg: &str) -> ! {
     eprintln!("                [--queue-capacity N] [--deadline-us N] [--compile-budget-us N] [--machine ...]");
     eprintln!("  mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--capacity N] [--theta F] [--seed N]");
     eprintln!("                [--min-hit-rate F] [--restart-entries N] [--restart-budget-ms N] [--machine ...]");
-    eprintln!("                [--crash-programs N] [--crash-flips N]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

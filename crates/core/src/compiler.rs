@@ -588,10 +588,7 @@ impl MikPoly {
     /// ahead-of-time bundle for deployments with a known shape menu
     /// (compile once with [`MikPoly::compile_many`], ship the bundle,
     /// [`MikPoly::load_program_cache`] at startup). The format is the
-    /// length-prefixed record layout of [`crate::persist`]
-    /// (magic `MPAC`, versioned); [`MikPoly::save_program_cache_json`]
-    /// still writes the legacy JSON format, and
-    /// [`MikPoly::load_program_cache`] reads both.
+    /// checksummed record layout of [`crate::persist`] (magic `MPAC`).
     ///
     /// # Errors
     ///
@@ -611,82 +608,33 @@ impl MikPoly {
         crate::persist::encode_bundle(slots.iter().map(|s| &*s.program))
     }
 
-    /// Persists the program cache in the legacy (version 1) JSON format —
-    /// for tooling that still parses bundles as JSON. New deployments
-    /// should prefer [`MikPoly::save_program_cache`]: the binary format
-    /// loads an order of magnitude faster.
+    /// Loads an ahead-of-time program bundle written by
+    /// [`MikPoly::save_program_cache`] into the cache. Programs whose
+    /// kernels are not in this compiler's library are rejected (a bundle
+    /// from a different machine or library version), and the batch is
+    /// inserted through the cache's bulk path, which is what keeps
+    /// restart-to-warm fast for large bundles.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from serializing or writing the file.
-    pub fn save_program_cache_json(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<()> {
-        let slots = self.cache.snapshot();
-        let refs: Vec<&CompiledProgram> = slots.iter().map(|s| &*s.program).collect();
-        let json = serde_json::to_string(&refs).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
-    }
-
-    /// Loads an ahead-of-time program bundle into the cache. The format is
-    /// sniffed from the first bytes: the `MPAC` magic routes to the binary
-    /// decoder, a leading `[` to the legacy JSON decoder, so bundles saved
-    /// by any prior version keep loading. Programs whose kernels are not
-    /// in this compiler's library are rejected (a bundle from a different
-    /// machine or library version), and the batch is inserted through the
-    /// cache's bulk path — one snapshot republish per shard, which is what
-    /// keeps restart-to-warm fast for large bundles.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file cannot be read or parsed, or an
-    /// [`std::io::ErrorKind::InvalidData`] error if the format is
-    /// unrecognized or a program references unknown kernels.
+    /// Returns an I/O error if the file cannot be read, or an
+    /// [`std::io::ErrorKind::InvalidData`] error if it is not a bundle of
+    /// the current format, is damaged, or a program fails validation.
     pub fn load_program_cache(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
         let bytes = std::fs::read(path)?;
         self.load_program_cache_bytes(&bytes)
     }
 
-    /// The in-memory half of [`MikPoly::load_program_cache`]: sniffs,
-    /// decodes, validates, and bulk-inserts a bundle already read into
-    /// memory. The recovery path uses this directly so a strict failure
-    /// can fall back to salvage without re-reading the file.
+    /// The in-memory half of [`MikPoly::load_program_cache`]: decodes,
+    /// validates, and bulk-inserts a bundle already read into memory. The
+    /// recovery path uses this directly so a strict failure can fall back
+    /// to salvage without re-reading the file.
     ///
     /// # Errors
     ///
     /// As [`MikPoly::load_program_cache`], minus the file read.
     pub fn load_program_cache_bytes(&self, bytes: &[u8]) -> std::io::Result<usize> {
-        let programs: Vec<CompiledProgram> = if crate::persist::is_binary_bundle(bytes) {
-            crate::persist::decode_bundle(bytes)?
-        } else if crate::persist::is_legacy_json_bundle(bytes) {
-            // The vendored JSON parser is superlinear in input size; a
-            // huge (or hostile) legacy file must not wedge startup.
-            if bytes.len() > crate::persist::LEGACY_JSON_MAX_BYTES {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "legacy JSON bundle is {} bytes, over the {} byte parse cap — \
-                         re-save it in the binary format (see docs/cache.md)",
-                        bytes.len(),
-                        crate::persist::LEGACY_JSON_MAX_BYTES
-                    ),
-                ));
-            }
-            eprintln!(
-                "mikpoly: loading a legacy JSON bundle ({} bytes); \
-                 re-save in the binary format for checksums and fast loads",
-                bytes.len()
-            );
-            let json = std::str::from_utf8(bytes)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            serde_json::from_str(json).map_err(std::io::Error::other)?
-        } else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "not a program bundle: neither MPAC binary nor legacy JSON",
-            ));
-        };
+        let programs = crate::persist::decode_bundle(bytes)?;
         for p in &programs {
             self.validate_restored_program(p)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
@@ -1456,41 +1404,16 @@ mod aot_bundle_tests {
     }
 
     #[test]
-    fn legacy_json_bundle_still_loads() {
-        // Bundles saved before the binary format existed start with `[`
-        // (a serde_json array); the loader must keep reading them.
-        let mut o = OfflineOptions::fast();
-        o.n_gen = 4;
-        let machine = MachineModel::a100();
-        let a = MikPoly::offline(machine.clone(), &o);
-        let ops: Vec<Operator> = [(64, 64, 64), (320, 192, 128)]
-            .into_iter()
-            .map(|(m, n, k)| Operator::gemm(GemmShape::new(m, n, k)))
-            .collect();
-        a.compile_many(&ops);
-        let path = std::env::temp_dir().join("mikpoly-aot-legacy.json");
-        a.save_program_cache_json(&path).expect("save legacy");
-        let raw = std::fs::read(&path).expect("read back");
-        assert_eq!(raw.first(), Some(&b'['), "legacy format is a JSON array");
-
-        let b = MikPoly::with_library(machine, a.library().clone());
-        assert_eq!(b.load_program_cache(&path).expect("load legacy"), 2);
-        for op in &ops {
-            assert_eq!(b.run(op).compile_ns, 0, "legacy bundle pre-warms");
-        }
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn unrecognized_bundle_format_is_rejected() {
         let mut o = OfflineOptions::fast();
         o.n_gen = 4;
         let a = MikPoly::offline(MachineModel::a100(), &o);
-        let path = std::env::temp_dir().join("mikpoly-aot-garbage.bin");
-        std::fs::write(&path, b"not a bundle at all").expect("write");
-        let err = a.load_program_cache(&path).expect_err("must reject");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_file(path);
+        // Garbage, and a JSON array shaped like the retired JSON bundles.
+        for bytes in [&b"not a bundle at all"[..], b"[{\"operator\": 1}]"] {
+            let err = a.load_program_cache_bytes(bytes).expect_err("must reject");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+        assert_eq!(a.cache_stats().entries, 0);
     }
 
     #[test]

@@ -398,10 +398,14 @@ impl Engine {
     /// verified), **salvaged** (damaged, the longest valid record prefix
     /// was loaded and the file quarantined), **quarantined** (damaged
     /// beyond salvage, nothing loaded, file moved aside), and **absent**
-    /// (cold start). Never errors and never panics: damage is an outcome,
-    /// not an exception. Damaged files are moved into `dir/quarantine/`,
-    /// never deleted. The report is also exported as `cache.restore.*`
-    /// counters on this engine's telemetry registry.
+    /// (cold start). Only bundles the committed
+    /// [`Manifest`](crate::recovery::Manifest) names are read: with no
+    /// manifest, or a damaged one, every bundle is absent, and a file in
+    /// any older format under a committed name is quarantined. Never
+    /// errors and never panics: damage is an outcome, not an exception.
+    /// Damaged files are moved into `dir/quarantine/`, never deleted. The
+    /// report is also exported as `cache.restore.*` counters on this
+    /// engine's telemetry registry.
     pub fn restore_program_caches(
         &self,
         dir: impl AsRef<std::path::Path>,
@@ -412,93 +416,52 @@ impl Engine {
         let manifest = match Manifest::read(dir) {
             Ok(m) => m,
             Err(e) => {
-                // A torn or tampered manifest: quarantine it and fall back
-                // to the flat legacy file names below.
+                // A torn or tampered manifest: quarantine it; with no
+                // committed generation every bundle below is absent.
                 report.bundles.push(BundleRestore {
-                    bundle: "manifest".to_string(),
                     outcome: RestoreOutcome::Quarantined,
-                    restored: 0,
-                    claimed: None,
                     quarantined_to: crate::recovery::quarantine_file(
                         &dir.join(crate::recovery::MANIFEST_NAME),
                     )
                     .ok(),
                     detail: Some(e.to_string()),
+                    ..BundleRestore::absent("manifest")
                 });
                 None
             }
         };
         report.generation = manifest.as_ref().map(|m| m.generation);
         for (compiler, stem) in [(&self.gemm, "gemm"), (&self.conv, "conv")] {
-            let flat = dir.join(format!("{stem}.mpac"));
-            let (path, committed) = match &manifest {
-                Some(m) => match m
-                    .bundles
+            let committed = manifest.as_ref().and_then(|m| {
+                m.bundles
                     .iter()
                     .find(|(n, _, _)| n.starts_with(&format!("{stem}.mpac")))
-                {
-                    Some((name, len, crc)) => (dir.join(name), Some((*len, *crc))),
-                    None => (flat, None),
-                },
-                None => (flat, None),
-            };
-            report
-                .bundles
-                .push(restore_one_bundle(compiler, stem, &path, committed));
+            });
+            report.bundles.push(match committed {
+                Some((name, len, crc)) => {
+                    restore_one_bundle(compiler, stem, &dir.join(name), (*len, *crc))
+                }
+                None => BundleRestore::absent(stem),
+            });
         }
         report.export_to(self.telemetry().registry());
         report
     }
-
-    /// Loads the warm state written by [`Engine::save_program_caches`],
-    /// returning the total number of programs restored. A missing bundle
-    /// file is treated as empty (a cold compiler), so a first boot against
-    /// a fresh state directory succeeds — `Ok(0)` means *no warm state*,
-    /// while damage is a typed error, never silently conflated with a
-    /// cold start. Built on [`Engine::restore_program_caches`]; callers
-    /// that want to keep the salvaged prefix of a damaged directory (and
-    /// the per-bundle outcomes) should use that instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::ErrorKind::InvalidData`] if any present bundle
-    /// was damaged or failed validation — even when a prefix was
-    /// salvaged into the cache and the damaged file quarantined.
-    pub fn load_program_caches(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-        let report = self.restore_program_caches(dir);
-        if report.degraded() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                crate::MikPolyError::WarmStateDamaged {
-                    report: report.to_string(),
-                },
-            ));
-        }
-        Ok(report.restored())
-    }
 }
 
-/// Restores one bundle file with the clean → salvage → quarantine
-/// ladder. `committed` carries the manifest's length and CRC32 when the
-/// file belongs to a committed generation; a mismatch against it is
-/// treated as damage even if the bundle's own checksums pass (the
-/// manifest is the commit point — a non-matching file is not the state
-/// that was committed).
+/// Restores one committed bundle file with the clean → salvage →
+/// quarantine ladder. `(len, crc)` is the manifest's record of the
+/// file; a mismatch against it is treated as damage even if the
+/// bundle's own checksums pass (the manifest is the commit point — a
+/// non-matching file is not the state that was committed).
 fn restore_one_bundle(
     compiler: &MikPoly,
     stem: &str,
     path: &std::path::Path,
-    committed: Option<(u64, u32)>,
+    (len, crc): (u64, u32),
 ) -> crate::recovery::BundleRestore {
     use crate::recovery::{BundleRestore, RestoreOutcome};
-    let mut restore = BundleRestore {
-        bundle: stem.to_string(),
-        outcome: RestoreOutcome::Absent,
-        restored: 0,
-        claimed: None,
-        quarantined_to: None,
-        detail: None,
-    };
+    let mut restore = BundleRestore::absent(stem);
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return restore,
@@ -509,9 +472,7 @@ fn restore_one_bundle(
             return restore;
         }
     };
-    let strict = if committed
-        .is_none_or(|(len, crc)| bytes.len() as u64 == len && crate::persist::crc32(&bytes) == crc)
-    {
+    let strict = if bytes.len() as u64 == len && crate::persist::crc32(&bytes) == crc {
         compiler.load_program_cache_bytes(&bytes)
     } else {
         Err(std::io::Error::new(
@@ -561,6 +522,25 @@ mod tests {
         let mut options = OfflineOptions::fast();
         options.n_gen = 4;
         Engine::offline(MachineModel::a100(), &options).with_conv_algorithm(algorithm)
+    }
+
+    /// Commits `bytes` as generation 1's gemm bundle in `dir` — the file
+    /// plus a manifest naming its length and CRC32, so restore reads it —
+    /// and returns the bundle's path.
+    fn commit_gemm_bundle(dir: &std::path::Path, bytes: &[u8]) -> std::path::PathBuf {
+        let name = "gemm.mpac.1";
+        std::fs::write(dir.join(name), bytes).expect("write bundle");
+        crate::recovery::Manifest {
+            generation: 1,
+            bundles: vec![(
+                name.to_string(),
+                bytes.len() as u64,
+                crate::persist::crc32(bytes),
+            )],
+        }
+        .commit(dir)
+        .expect("commit manifest");
+        dir.join(name)
     }
 
     #[test]
@@ -654,8 +634,9 @@ mod tests {
         let dir = std::env::temp_dir().join("mikpoly-engine-warm-state");
         let _ = std::fs::remove_dir_all(&dir);
         let a = engine(ConvAlgorithm::ImplicitGemm);
-        // A fresh state directory loads as cold, not as an error.
-        assert_eq!(a.load_program_caches(&dir).unwrap_or(99), 0);
+        // A fresh state directory restores cold, not damaged.
+        let cold = a.restore_program_caches(&dir);
+        assert_eq!((cold.restored(), cold.degraded()), (0, false));
         let gemm = Operator::gemm(GemmShape::new(320, 192, 128));
         let conv = Operator::conv2d(Conv2dShape::square(1, 16, 14, 16, 3, 1));
         a.run_operator(&gemm);
@@ -663,7 +644,8 @@ mod tests {
         a.save_program_caches(&dir).expect("save warm state");
 
         let b = engine(ConvAlgorithm::ImplicitGemm);
-        assert_eq!(b.load_program_caches(&dir).expect("load warm state"), 2);
+        let warm = b.restore_program_caches(&dir);
+        assert_eq!((warm.restored(), warm.degraded()), (2, false));
         assert_eq!(b.run_operator(&gemm).run.compile_ns, 0, "gemm warm");
         assert_eq!(b.run_operator(&conv).run.compile_ns, 0, "conv warm");
         let _ = std::fs::remove_dir_all(dir);
@@ -762,7 +744,7 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(b.gemm_compiler().cache_stats().entries, 0);
 
-        std::fs::write(dir.join("gemm.mpac"), &bundle).expect("write");
+        commit_gemm_bundle(&dir, &bundle);
         let report = b.restore_program_caches(&dir);
         let g = report
             .bundles
@@ -795,9 +777,9 @@ mod tests {
             .bundles
             .iter()
             .all(|b| b.outcome == crate::recovery::RestoreOutcome::Absent));
-        // Arbitrary garbage under a flat legacy name: quarantined, and
-        // `load_program_caches` fails closed instead of reporting 0.
-        std::fs::write(dir.join("gemm.mpac"), b"MPAC garbage here").expect("write");
+        // Arbitrary garbage under a committed name: quarantined, and
+        // the report reads as damaged, not as a cold zero.
+        commit_gemm_bundle(&dir, b"MPAC garbage here");
         let report = a.restore_program_caches(&dir);
         let g = report
             .bundles
@@ -806,11 +788,7 @@ mod tests {
             .expect("gemm entry");
         assert_eq!(g.outcome, crate::recovery::RestoreOutcome::Quarantined);
         assert_eq!(g.restored, 0);
-        std::fs::write(dir.join("conv.mpac"), b"not a bundle").expect("write");
-        assert!(
-            a.load_program_caches(&dir).is_err(),
-            "damage must be an error, not zero"
-        );
+        assert!(report.degraded(), "damage must not read as a cold start");
         // The report exports typed outcome counters.
         let telemetry = Telemetry::enabled();
         report.export_to(telemetry.registry());
@@ -820,24 +798,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Only committed MPAC v3 bundles are warm state. A retired format
+    /// under a committed name is quarantined; a pre-manifest flat file is
+    /// absent. Either way the engine compiles and serves cold.
     #[test]
-    fn restore_reads_flat_directories_from_the_pre_manifest_era() {
+    fn restore_treats_older_artifacts_as_a_cold_start() {
+        use crate::recovery::{RestoreOutcome, QUARANTINE_DIR};
+        let a = engine(ConvAlgorithm::ImplicitGemm);
+        let gemm = Operator::gemm(GemmShape::new(320, 192, 128));
+        let v3 = crate::persist::encode_bundle([&*a.gemm_compiler().compile(&gemm)]);
+        let ends = crate::persist::record_end_offsets(&v3).expect("offsets");
+        // The retired v2 layout: the same header and index, the record
+        // without its checksum, no footer.
+        let mut v2 = v3[..24].to_vec();
+        v2[4] = 2;
+        v2.extend_from_slice(&v3[24..ends[0] - 4]);
+        let json = br#"[{"operator": {"Gemm": {"shape": {"m": 320}}}}]"#;
+
+        let b = engine(ConvAlgorithm::ImplicitGemm);
+        for (tag, artifact) in [("v2", &v2[..]), ("json", &json[..])] {
+            let dir = std::env::temp_dir()
+                .join(format!("mikpoly-engine-old-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = commit_gemm_bundle(&dir, artifact);
+            let report = b.restore_program_caches(&dir);
+            let g = &report.bundles[0];
+            assert_eq!(g.outcome, RestoreOutcome::Quarantined, "{tag}: {report}");
+            assert_eq!(report.restored(), 0, "{tag}");
+            assert!(!path.exists(), "{tag}: the old file must be moved aside");
+            let moved = g.quarantined_to.as_ref().expect("quarantine path");
+            assert!(moved.starts_with(dir.join(QUARANTINE_DIR)) && moved.exists());
+            let _ = std::fs::remove_dir_all(dir);
+        }
+
         let dir = std::env::temp_dir().join(format!("mikpoly-engine-flat-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let a = engine(ConvAlgorithm::ImplicitGemm);
-        let gemm = Operator::gemm(GemmShape::new(320, 192, 128));
-        a.run_operator(&gemm);
-        // Old layout: bundles under flat names, no manifest.
-        a.gemm_compiler()
-            .save_program_cache(dir.join("gemm.mpac"))
-            .expect("flat save");
-        let b = engine(ConvAlgorithm::ImplicitGemm);
+        std::fs::write(dir.join("gemm.mpac"), &v3).expect("flat write");
         let report = b.restore_program_caches(&dir);
         assert_eq!(report.generation, None);
-        assert!(report.clean());
-        assert_eq!(report.restored(), 1);
-        assert_eq!(b.run_operator(&gemm).run.compile_ns, 0, "flat warm");
+        assert!(report
+            .bundles
+            .iter()
+            .all(|b| b.outcome == RestoreOutcome::Absent));
+
+        let cold = b.run_operator(&gemm).run;
+        assert!(cold.compile_ns > 0, "nothing old was adopted");
+        cold.program.verify_coverage().expect("coverage");
         let _ = std::fs::remove_dir_all(dir);
     }
 

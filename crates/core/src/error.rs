@@ -64,16 +64,6 @@ pub enum MikPolyError {
         /// The simulator's typed rejection.
         source: accel_sim::SimError,
     },
-    /// A durable warm-state directory failed its checksum/validation
-    /// ladder on restore. Distinct from *absent* state (a cold start,
-    /// which is not an error): damage may still have yielded a salvaged
-    /// prefix, with the corrupt originals quarantined — the carried
-    /// report says exactly what happened per bundle
-    /// (see [`crate::RestoreReport`]).
-    WarmStateDamaged {
-        /// The rendered per-bundle restore report.
-        report: String,
-    },
 }
 
 impl std::fmt::Display for MikPolyError {
@@ -100,9 +90,6 @@ impl std::fmt::Display for MikPolyError {
             }
             MikPolyError::MalformedLaunch { source } => {
                 write!(f, "malformed device launch: {source}")
-            }
-            MikPolyError::WarmStateDamaged { report } => {
-                write!(f, "warm state damaged:\n{report}")
             }
         }
     }
@@ -176,12 +163,6 @@ mod tests {
                     source: accel_sim::SimError::Deadlock { pending: 3 },
                 },
                 "malformed device launch",
-            ),
-            (
-                MikPolyError::WarmStateDamaged {
-                    report: "gemm: quarantined".into(),
-                },
-                "warm state damaged",
             ),
         ];
         for (err, needle) in cases {

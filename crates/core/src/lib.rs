@@ -83,8 +83,8 @@ pub use offline::{
 pub use pattern::{all_patterns, default_patterns, gpu_patterns, Pattern, PatternId};
 pub use perf_model::{sample_schedule, PerfModel, Segment};
 pub use persist::{
-    crc32, decode_bundle, encode_bundle, encode_bundle_v2, is_binary_bundle, is_legacy_json_bundle,
-    record_end_offsets, salvage_bundle, write_bytes_atomic, SalvagedBundle,
+    crc32, decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, write_bytes_atomic,
+    SalvagedBundle,
 };
 pub use plan::{CompiledProgram, CoverageError, Region, SearchStats};
 pub use recovery::{quarantine_file, BundleRestore, Manifest, RestoreOutcome, RestoreReport};

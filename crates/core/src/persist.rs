@@ -1,38 +1,6 @@
-//! Binary ahead-of-time program bundles: the warm-restart format.
+//! Binary ahead-of-time program bundles: the one warm-restart format.
 //!
-//! [`MikPoly::save_program_cache`](crate::MikPoly::save_program_cache)
-//! originally serialized the whole cache as one `serde_json` string —
-//! simple, but restart-to-warm for a production-sized cache (tens of
-//! thousands of shapes) paid text parsing for every field. This module
-//! replaces it with a length-prefixed binary record format:
-//!
-//! ```text
-//! magic   b"MPAC"                          4 bytes
-//! version u32 LE                           (2 for this layout; version 1
-//!                                           is the implicit legacy JSON
-//!                                           format)
-//! count   u64 LE                           number of program records
-//! index   count x u64 LE                   byte length of each record
-//! records count variable-length records, concatenated in index order
-//! ```
-//!
-//! The index header makes the bundle seekable — a loader knows every
-//! record boundary after reading `16 + 8·count` bytes, so records can be
-//! decoded independently (and, later, in parallel or lazily). All scalars
-//! are little-endian; record fields are fixed-width, so decoding is a
-//! bounds-checked copy with no text parsing and no allocation beyond the
-//! program's own region vector.
-//!
-//! **Version story**: a loader sniffs the first bytes. `b"MPAC"` routes
-//! here, where the version field gates decoding (unknown versions are
-//! rejected as [`std::io::ErrorKind::InvalidData`], never misparsed). A
-//! leading `[` is a legacy v1 JSON bundle and takes the old serde_json
-//! path — existing saved bundles keep loading forever. Anything else is
-//! rejected. New fields must bump [`FORMAT_VERSION`]; decoders for old
-//! versions stay.
-//!
-//! **Version 3 — the checksummed format** extends the layout above with
-//! end-to-end integrity:
+//! A bundle is a length-prefixed, checksummed record layout:
 //!
 //! ```text
 //! magic    b"MPAC"                         4 bytes
@@ -45,6 +13,18 @@
 //!          crc32  u32 LE                   CRC32 of every preceding byte
 //!          magic  b"CAPM"                  4 bytes
 //! ```
+//!
+//! The index header makes the bundle seekable — a loader knows every
+//! record boundary after reading `16 + 8·count` bytes. All scalars are
+//! little-endian; record fields are fixed-width, so decoding is a
+//! bounds-checked copy with no text parsing and no allocation beyond the
+//! program's own region vector.
+//!
+//! [`FORMAT_VERSION`] is the only version read or written: any other
+//! magic or version is rejected as [`std::io::ErrorKind::InvalidData`],
+//! never misparsed. Warm state is a cache — a rejected file costs one
+//! recompile per shape — so older layouts are not decoded; the restore
+//! ladder quarantines them and the compiler starts cold.
 //!
 //! The per-record checksum makes *prefix salvage* possible: a torn or
 //! bit-flipped bundle yields exactly the records whose bytes and checksum
@@ -68,41 +48,15 @@ use crate::plan::{CompiledProgram, Region, SearchStats};
 /// The bundle magic: first four bytes of every binary bundle.
 pub const BUNDLE_MAGIC: [u8; 4] = *b"MPAC";
 
-/// The footer magic: last four bytes of every version-3 bundle.
+/// The footer magic: last four bytes of every bundle.
 pub const FOOTER_MAGIC: [u8; 4] = *b"CAPM";
 
-/// Current binary format version: the checksummed layout. Version 1 is
-/// the implicit legacy JSON format (no magic, starts with `[`); version
-/// 2 is the original binary layout without checksums.
+/// The bundle format version: the checksummed layout. The only version
+/// this build reads or writes.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// The original binary layout (no per-record checksums, no footer).
-/// Still decoded forever; no longer written.
-pub const FORMAT_VERSION_V2: u32 = 2;
-
-/// Byte size of the version-3 footer (count + file CRC + magic).
+/// Byte size of the footer (count + file CRC + magic).
 pub const FOOTER_LEN: usize = 16;
-
-/// Upper bound accepted for a legacy JSON bundle. The vendored JSON
-/// parser is superlinear in input size (~minutes at 10k entries, see
-/// docs/cache.md), so a huge — or hostile — legacy file must not wedge
-/// startup. A megabyte holds over a thousand entries, far beyond any
-/// bundle the JSON writer era produced; bigger caches should be
-/// re-saved in the binary format.
-pub const LEGACY_JSON_MAX_BYTES: usize = 1 << 20;
-
-/// Whether `bytes` starts like a binary bundle (any version).
-pub fn is_binary_bundle(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == BUNDLE_MAGIC
-}
-
-/// Whether `bytes` starts like a legacy JSON bundle (a serde_json array).
-pub fn is_legacy_json_bundle(bytes: &[u8]) -> bool {
-    bytes
-        .iter()
-        .find(|b| !b.is_ascii_whitespace())
-        .is_some_and(|b| *b == b'[')
-}
 
 /// Encodes `programs` as a version-[`FORMAT_VERSION`] checksummed bundle.
 pub fn encode_bundle<'a>(programs: impl IntoIterator<Item = &'a CompiledProgram>) -> Vec<u8> {
@@ -125,54 +79,26 @@ pub fn encode_bundle<'a>(programs: impl IntoIterator<Item = &'a CompiledProgram>
     out
 }
 
-/// Encodes `programs` in the old version-2 layout (no checksums).
-///
-/// Only used by tests and the crash harness to prove the v2 decoder
-/// stays alive; production writers always emit [`FORMAT_VERSION`].
-pub fn encode_bundle_v2<'a>(programs: impl IntoIterator<Item = &'a CompiledProgram>) -> Vec<u8> {
-    let records: Vec<Vec<u8>> = programs.into_iter().map(encode_program).collect();
-    let body: usize = records.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(16 + 8 * records.len() + body);
-    out.extend_from_slice(&BUNDLE_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION_V2.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for r in &records {
-        out.extend_from_slice(&(r.len() as u64).to_le_bytes());
-    }
-    for r in &records {
-        out.extend_from_slice(r);
-    }
-    out
-}
-
-/// Decodes a binary bundle produced by [`encode_bundle`] (version 3) or
-/// by the old writer ([`encode_bundle_v2`], version 2).
+/// Decodes a bundle produced by [`encode_bundle`].
 ///
 /// # Errors
 ///
-/// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic, an
-/// unknown version, any truncated/malformed record, a checksum mismatch,
-/// or (v3) a missing or inconsistent footer. For best-effort recovery of
-/// a damaged bundle use [`salvage_bundle`] instead.
+/// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic, any
+/// version but [`FORMAT_VERSION`], any truncated/malformed record, a
+/// checksum mismatch, or a missing or inconsistent footer. For
+/// best-effort recovery of a damaged bundle use [`salvage_bundle`]
+/// instead.
 pub fn decode_bundle(bytes: &[u8]) -> io::Result<Vec<CompiledProgram>> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != BUNDLE_MAGIC {
         return Err(invalid("not a program bundle: bad magic"));
     }
     let version = r.u32()?;
-    match version {
-        FORMAT_VERSION => decode_records_v3(bytes, &mut r),
-        FORMAT_VERSION_V2 => decode_records_v2(&mut r),
-        _ => Err(invalid(&format!(
-            "unsupported bundle version {version} (this build reads {FORMAT_VERSION_V2} and {FORMAT_VERSION})"
-        ))),
+    if version != FORMAT_VERSION {
+        return Err(invalid(&format!(
+            "unsupported bundle version {version} (this build reads {FORMAT_VERSION})"
+        )));
     }
-}
-
-/// The strict version-3 body: checksummed records, then the footer.
-/// `bytes` is the whole bundle (needed for the whole-file checksum);
-/// `r` sits just past the version field.
-fn decode_records_v3(bytes: &[u8], r: &mut Reader<'_>) -> io::Result<Vec<CompiledProgram>> {
     let count64 = r.u64()?;
     let count = usize_from(count64)?;
     // Guard the index allocation against a hostile count before trusting
@@ -229,32 +155,6 @@ fn decode_records_v3(bytes: &[u8], r: &mut Reader<'_>) -> io::Result<Vec<Compile
     Ok(programs)
 }
 
-/// The strict version-2 body: bare records, no checksums, no footer.
-fn decode_records_v2(r: &mut Reader<'_>) -> io::Result<Vec<CompiledProgram>> {
-    let count = usize_from(r.u64()?)?;
-    if count > r.remaining() / 8 {
-        return Err(invalid("bundle index longer than the file"));
-    }
-    let mut lengths = Vec::with_capacity(count);
-    for _ in 0..count {
-        lengths.push(usize_from(r.u64()?)?);
-    }
-    let mut programs = Vec::with_capacity(count);
-    for (i, len) in lengths.into_iter().enumerate() {
-        let record = r
-            .take(len)
-            .map_err(|_| invalid(&format!("record {i} truncated: wanted {len} more bytes")))?;
-        programs.push(decode_record(record, i)?);
-    }
-    if r.remaining() != 0 {
-        return Err(invalid(&format!(
-            "bundle has {} trailing bytes after the last record",
-            r.remaining()
-        )));
-    }
-    Ok(programs)
-}
-
 /// Decodes one record slice, rejecting trailing bytes inside it.
 fn decode_record(record: &[u8], i: usize) -> io::Result<CompiledProgram> {
     let mut rr = Reader::new(record);
@@ -289,7 +189,7 @@ pub struct SalvagedBundle {
 /// Never errors and never panics, whatever the input — arbitrary bytes
 /// yield an empty salvage with the strict decoder's rejection attached.
 /// A record is kept only if its bytes are fully present, its stored
-/// CRC32 matches (version 3), and it decodes with no trailing bytes;
+/// CRC32 matches, and it decodes with no trailing bytes;
 /// the scan stops at the first record failing any of those, because
 /// record boundaries downstream of damage cannot be trusted.
 pub fn salvage_bundle(bytes: &[u8]) -> SalvagedBundle {
@@ -316,14 +216,10 @@ pub fn salvage_bundle(bytes: &[u8]) -> SalvagedBundle {
 /// then records in index order until the first damaged one.
 fn salvage_prefix(bytes: &[u8]) -> (Vec<CompiledProgram>, Option<u64>) {
     let mut r = Reader::new(bytes);
-    let with_crc = match r.take(4) {
-        Ok(magic) if magic == BUNDLE_MAGIC => match r.u32() {
-            Ok(FORMAT_VERSION) => true,
-            Ok(FORMAT_VERSION_V2) => false,
-            _ => return (Vec::new(), None),
-        },
+    match (r.take(4), r.u32()) {
+        (Ok(magic), Ok(FORMAT_VERSION)) if magic == BUNDLE_MAGIC => {}
         _ => return (Vec::new(), None),
-    };
+    }
     let Ok(count64) = r.u64() else {
         return (Vec::new(), None);
     };
@@ -346,11 +242,9 @@ fn salvage_prefix(bytes: &[u8]) -> (Vec<CompiledProgram>, Option<u64>) {
     let mut programs = Vec::new();
     for len in lengths {
         let Ok(record) = r.take(len) else { break };
-        if with_crc {
-            let Ok(stored) = r.u32() else { break };
-            if crc32(record) != stored {
-                break;
-            }
+        let Ok(stored) = r.u32() else { break };
+        if crc32(record) != stored {
+            break;
         }
         let mut rr = Reader::new(record);
         let Ok(program) = decode_program(&mut rr) else {
@@ -365,7 +259,7 @@ fn salvage_prefix(bytes: &[u8]) -> (Vec<CompiledProgram>, Option<u64>) {
 }
 
 /// Absolute end offset (exclusive, checksum included) of each record in
-/// an intact version-3 bundle.
+/// an intact bundle.
 ///
 /// The crash harness uses this as the salvage oracle: truncating the
 /// bundle at byte offset `t` must salvage exactly the records with
@@ -374,14 +268,14 @@ fn salvage_prefix(bytes: &[u8]) -> (Vec<CompiledProgram>, Option<u64>) {
 /// # Errors
 ///
 /// Returns [`std::io::ErrorKind::InvalidData`] unless `bytes` carries a
-/// well-formed version-3 header and index.
+/// well-formed header and index.
 pub fn record_end_offsets(bytes: &[u8]) -> io::Result<Vec<usize>> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != BUNDLE_MAGIC {
         return Err(invalid("not a program bundle: bad magic"));
     }
     if r.u32()? != FORMAT_VERSION {
-        return Err(invalid("record offsets need a version-3 bundle"));
+        return Err(invalid("unsupported bundle version"));
     }
     let count = usize_from(r.u64()?)?;
     if count > r.remaining() / 8 {
@@ -397,7 +291,7 @@ pub fn record_end_offsets(bytes: &[u8]) -> io::Result<Vec<usize>> {
 }
 
 /// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-/// stamped on every version-3 record and bundle. Implemented here so the
+/// stamped on every record and bundle. Implemented here so the
 /// format needs no external dependency.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
@@ -643,27 +537,95 @@ fn encode_operator(out: &mut Vec<u8>, op: &Operator) {
     }
 }
 
+/// Decodes an operator, rejecting any the `tensor_ir` constructors
+/// would refuse. The decoder builds shapes from struct literals, so
+/// without this check a record whose checksums pass could carry a zero
+/// stride or extent that panics `gemm_view()` during validation.
 fn decode_operator(r: &mut Reader<'_>) -> io::Result<Operator> {
-    match r.u8()? {
-        0 => Ok(Operator::Gemm {
+    let operator = match r.u8()? {
+        0 => Operator::Gemm {
             shape: decode_gemm_shape(r)?,
             dtype: decode_dtype(r)?,
-        }),
-        1 => Ok(Operator::BatchedGemm {
+        },
+        1 => Operator::BatchedGemm {
             batch: r.usize()?,
             shape: decode_gemm_shape(r)?,
             dtype: decode_dtype(r)?,
-        }),
-        2 => Ok(Operator::Conv2d {
+        },
+        2 => Operator::Conv2d {
             shape: decode_conv_shape(r)?,
             dtype: decode_dtype(r)?,
-        }),
-        3 => Ok(Operator::Conv2dWinograd {
+        },
+        3 => Operator::Conv2dWinograd {
             shape: decode_conv_shape(r)?,
             dtype: decode_dtype(r)?,
-        }),
-        other => Err(invalid(&format!("bad operator tag {other}"))),
+        },
+        other => return Err(invalid(&format!("bad operator tag {other}"))),
+    };
+    match checked_view_extents(&operator) {
+        Some(extents) if !extents.contains(&0) => Ok(operator),
+        _ => Err(invalid(&format!(
+            "operator {operator:?} is malformed or its GEMM view overflows"
+        ))),
     }
+}
+
+/// The `(m, n, k)` of `operator.gemm_view()`, computed without overflow,
+/// or `None` where the operator's constructor would panic or the view's
+/// arithmetic would overflow `usize`.
+fn checked_view_extents(operator: &Operator) -> Option<[usize; 3]> {
+    match *operator {
+        Operator::Gemm { shape, .. } => Some([shape.m, shape.n, shape.k]),
+        Operator::BatchedGemm { batch, shape, .. } => {
+            Some([batch.checked_mul(shape.m)?, shape.n, shape.k])
+        }
+        Operator::Conv2d { shape, .. } => {
+            let (out_h, out_w) = checked_conv_output(&shape)?;
+            let k = shape.in_channels.checked_mul(shape.kernel_h)?;
+            Some([
+                shape.batch.checked_mul(out_h)?.checked_mul(out_w)?,
+                shape.out_channels,
+                k.checked_mul(shape.kernel_w)?,
+            ])
+        }
+        Operator::Conv2dWinograd { shape, .. } => {
+            if !tensor_ir::winograd_applicable(&shape) {
+                return None;
+            }
+            let (out_h, out_w) = checked_conv_output(&shape)?;
+            let tiles = out_h.div_ceil(2).checked_mul(out_w.div_ceil(2))?;
+            Some([
+                shape.batch.checked_mul(tiles)?.checked_mul(16)?,
+                shape.out_channels,
+                shape.in_channels,
+            ])
+        }
+    }
+}
+
+/// The output extents of a convolution that `Conv2dShape::new` would
+/// accept (positive extents and stride, a padded input no smaller than
+/// the filter), computed without overflow.
+fn checked_conv_output(s: &Conv2dShape) -> Option<(usize, usize)> {
+    let positive = [
+        s.batch,
+        s.in_channels,
+        s.height,
+        s.width,
+        s.out_channels,
+        s.kernel_h,
+        s.kernel_w,
+        s.stride,
+    ];
+    // `gather_load_scale` squares the stride.
+    if positive.contains(&0) || s.stride.checked_mul(s.stride).is_none() {
+        return None;
+    }
+    let padding = s.padding.checked_mul(2)?;
+    let out = |len: usize, kernel: usize| {
+        Some(len.checked_add(padding)?.checked_sub(kernel)? / s.stride + 1)
+    };
+    Some((out(s.height, s.kernel_h)?, out(s.width, s.kernel_w)?))
 }
 
 fn encode_program(p: &CompiledProgram) -> Vec<u8> {
@@ -803,8 +765,6 @@ mod tests {
         programs[5].view.dtype = DType::F32;
         programs[6].view.dtype = DType::I8;
         let bytes = encode_bundle(programs.iter());
-        assert!(is_binary_bundle(&bytes));
-        assert!(!is_legacy_json_bundle(&bytes));
         let decoded = decode_bundle(&bytes).expect("round trip");
         assert_eq!(decoded, programs);
     }
@@ -824,12 +784,17 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(decode_bundle(&bad_magic).is_err(), "bad magic must fail");
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        assert!(
-            decode_bundle(&bad_version).is_err(),
-            "unknown version must fail"
-        );
+        for version in [2u8, 99] {
+            let mut bad_version = good.clone();
+            bad_version[4] = version;
+            let err = decode_bundle(&bad_version).expect_err("other versions must fail");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported bundle version {version}")),
+                "{err}"
+            );
+            assert!(salvage_bundle(&bad_version).programs.is_empty());
+        }
 
         for cut in [3, 10, 17, good.len() / 2, good.len() - 1] {
             assert!(
@@ -858,29 +823,94 @@ mod tests {
     }
 
     #[test]
-    fn sniffers_distinguish_formats() {
-        assert!(is_legacy_json_bundle(b"  [ {\"x\": 1} ]"));
-        assert!(!is_legacy_json_bundle(b"MPAC...."));
-        assert!(!is_binary_bundle(b"["));
-        assert!(!is_binary_bundle(b""));
-    }
-
-    #[test]
     fn crc32_matches_the_reference_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Records whose checksums pass but whose operator no `tensor_ir`
+    /// constructor would build: each must be `InvalidData`, never a
+    /// panic in a later `gemm_view()`.
     #[test]
-    fn version_2_bundles_still_load() {
-        let programs: Vec<CompiledProgram> = (0..5).map(sample_program).collect();
-        let v2 = encode_bundle_v2(programs.iter());
-        assert_eq!(u32::from_le_bytes([v2[4], v2[5], v2[6], v2[7]]), 2);
-        assert_eq!(decode_bundle(&v2).expect("v2 decodes"), programs);
-        let salvage = salvage_bundle(&v2);
-        assert!(salvage.clean);
-        assert_eq!(salvage.programs, programs);
+    fn rejects_operators_the_constructors_would_refuse() {
+        let conv = Conv2dShape::new(2, 16, 28, 28, 32, 3, 3, 1, 1);
+        let gemm = GemmShape::new(64, 64, 64);
+        let hostile = [
+            Operator::Gemm {
+                shape: GemmShape { m: 0, ..gemm },
+                dtype: DType::F16,
+            },
+            Operator::BatchedGemm {
+                batch: 0,
+                shape: gemm,
+                dtype: DType::F16,
+            },
+            Operator::BatchedGemm {
+                batch: usize::MAX / 2,
+                shape: gemm,
+                dtype: DType::F16,
+            },
+            Operator::Conv2d {
+                shape: Conv2dShape { stride: 0, ..conv },
+                dtype: DType::F16,
+            },
+            Operator::Conv2d {
+                shape: Conv2dShape {
+                    in_channels: 0,
+                    ..conv
+                },
+                dtype: DType::F16,
+            },
+            Operator::Conv2d {
+                shape: Conv2dShape {
+                    kernel_h: 31,
+                    ..conv
+                },
+                dtype: DType::F16,
+            },
+            Operator::Conv2d {
+                shape: Conv2dShape {
+                    padding: usize::MAX,
+                    ..conv
+                },
+                dtype: DType::F16,
+            },
+            Operator::Conv2d {
+                shape: Conv2dShape {
+                    batch: usize::MAX,
+                    ..conv
+                },
+                dtype: DType::F16,
+            },
+            Operator::Conv2d {
+                shape: Conv2dShape {
+                    stride: 1 << 40,
+                    ..conv
+                },
+                dtype: DType::F16,
+            },
+            Operator::Conv2dWinograd {
+                shape: Conv2dShape {
+                    kernel_h: 5,
+                    kernel_w: 5,
+                    ..conv
+                },
+                dtype: DType::F16,
+            },
+            Operator::Conv2dWinograd {
+                shape: Conv2dShape { stride: 2, ..conv },
+                dtype: DType::F16,
+            },
+        ];
+        for operator in hostile {
+            let mut program = sample_program(1);
+            program.operator = operator;
+            let bytes = encode_bundle([&program]);
+            let err = decode_bundle(&bytes).expect_err("hostile operator must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{operator:?}");
+            assert!(salvage_bundle(&bytes).programs.is_empty(), "{operator:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Compiled tensor programs: the output of on-the-fly polymerization.
 
-use serde::{Deserialize, Serialize};
-
 use accel_sim::{Launch, MachineModel, TaskGroup};
 use tensor_ir::{GemmView, Operator};
 
@@ -15,7 +13,7 @@ use crate::pattern::PatternId;
 /// are handled by local padding (the kernel computes a full tile, reads of
 /// out-of-bounds operand elements return zero, and out-of-bounds writes are
 /// suppressed), exactly as in CUTLASS and the paper's Section 3.4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Region {
     /// First output row covered.
     pub row0: usize,
@@ -78,7 +76,7 @@ impl Region {
 }
 
 /// Statistics of one online polymerization search, reported by Fig. 12(a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Complete strategies whose cost was estimated.
     pub strategies_evaluated: usize,
@@ -89,33 +87,24 @@ pub struct SearchStats {
     /// Wall-clock nanoseconds spent polymerizing.
     pub search_ns: u128,
     /// Times a deep pattern drew from a truncated kernel shortlist.
-    #[serde(default)]
     pub shortlist_truncated: usize,
     /// Search rounds that ran out of node budget before covering the
     /// strategy space.
-    #[serde(default)]
     pub budget_exhausted: usize,
     /// Anytime escalation rounds taken (bounded by
     /// `SearchPolicy::max_escalations`).
-    #[serde(default)]
     pub escalations: usize,
     /// Whether the occupancy-aware refinement changed the selected
     /// strategy away from the Eq. 2 pick.
-    #[serde(default)]
     pub refined: bool,
     /// Whether this program came from the degraded fallback path (a
     /// single-region shortlist-top-1 plan, not a full staged search).
-    #[serde(default)]
     pub degraded: bool,
-}
-
-fn default_split_k() -> usize {
-    1
 }
 
 /// An optimized tensor program `S*`: the selected pattern, its regions with
 /// instantiated micro-kernels, and the predicted cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     /// The operator this program computes.
     pub operator: Operator,
@@ -130,7 +119,6 @@ pub struct CompiledProgram {
     /// a memory-bound reduction launch combines the partials — the classic
     /// remedy for small-`MxN`, huge-`K` shapes whose task grids cannot fill
     /// the machine.
-    #[serde(default = "default_split_k")]
     pub split_k: usize,
     /// The cost model's estimate for this program, ns.
     pub predicted_ns: f64,

@@ -10,7 +10,7 @@
 //!   number plus every bundle's length and CRC32. Readers trust only the
 //!   manifest, so a crash between bundle writes can never mix
 //!   generations — the directory is always exactly the last committed
-//!   generation (or, before the first commit, the legacy flat files).
+//!   generation, or cold before the first commit.
 //! * **Salvage and quarantine**: a bundle that fails its checksums is
 //!   recovered up to its longest valid record prefix
 //!   ([`crate::persist::salvage_bundle`]) and the damaged file is moved
@@ -146,8 +146,7 @@ impl Manifest {
     /// # Errors
     ///
     /// `Ok(None)` when absent; [`std::io::ErrorKind::InvalidData`] when
-    /// present but damaged (callers quarantine it and fall back to the
-    /// flat legacy names).
+    /// present but damaged (callers quarantine it and start cold).
     pub fn read(dir: &Path) -> io::Result<Option<Self>> {
         let path = dir.join(MANIFEST_NAME);
         let text = match std::fs::read_to_string(&path) {
@@ -236,6 +235,20 @@ pub struct BundleRestore {
     pub detail: Option<String>,
 }
 
+impl BundleRestore {
+    /// No file for `bundle`: the cold-start outcome every restore begins at.
+    pub(crate) fn absent(bundle: &str) -> Self {
+        Self {
+            bundle: bundle.to_string(),
+            outcome: RestoreOutcome::Absent,
+            restored: 0,
+            claimed: None,
+            quarantined_to: None,
+            detail: None,
+        }
+    }
+}
+
 /// The typed result of [`crate::Engine::restore_program_caches`]:
 /// per-bundle outcomes plus the committed generation that was read.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -305,10 +318,7 @@ impl std::fmt::Display for RestoreReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.generation {
             Some(generation) => writeln!(f, "restore: generation {generation}")?,
-            None => writeln!(
-                f,
-                "restore: no committed generation (flat or cold directory)"
-            )?,
+            None => writeln!(f, "restore: no committed generation (cold directory)")?,
         }
         for b in &self.bundles {
             write!(

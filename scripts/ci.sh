@@ -71,10 +71,9 @@ echo "==> chaos smoke: mikpoly chaos (fixed seeds)"
 # Cache smoke: Zipfian stress on the bounded program cache (exact-once
 # computation, counter coherence, capacity bound — the binary exits
 # non-zero on any invariant violation or a hit rate below floor), then
-# the warm-restart gates: a 10k-program binary bundle must load inside
-# 1 s, and a legacy JSON bundle must still round-trip through the new
-# writer/loader pair.
-echo "==> cache smoke: mikpoly cache-bench (stress + restart gates)"
+# the warm-restart gate: a 10k-program bundle must load every program
+# inside 1 s.
+echo "==> cache smoke: mikpoly cache-bench (stress + restart gate)"
 ./target/release/mikpoly cache-bench --threads 4 --ops 100000 --keys 2048 \
   --restart-entries 10000 --restart-budget-ms 1000
 
@@ -118,16 +117,18 @@ echo "==> conformance gate (hard corpus, p95 oracle gap <= 1.10)"
 
 # Crash matrix: the durable warm-state loader must never panic and must
 # salvage exactly the valid record prefix — every-offset truncation plus
-# fixed-seed bit flips and arbitrary-byte blobs (the binary exits
-# non-zero on any violation).
+# fixed-seed bit flips, arbitrary-byte blobs and checksummed bundles
+# with hostile records (the binary exits non-zero on any violation).
 echo "==> conformance crash (seed 7, truncation sweep + 128 flips + 128 blobs)"
 ./target/release/conformance crash --seed 7 --flips 128 --fuzz-blobs 128
 
 # Durability smoke: serve with a live snapshotter and a mid-stream drain
 # point, then restart against the snapshot directory. The first serve
-# must commit a generation manifest; the second must restore it cleanly
-# (the binary prints the restore report and exits non-zero if any
-# request lacks exactly one terminal disposition).
+# must commit a generation manifest; the second must restore it cleanly:
+# its restore report needs a `gemm ... clean N programs` line with N > 0
+# and no salvaged or quarantined bundle, so a warm restart that loaded
+# nothing fails here (the binary also exits non-zero if any request
+# lacks exactly one terminal disposition).
 echo "==> durability smoke: serve --snapshot-dir + --drain-after-us, then warm restart"
 ./target/release/mikpoly serve --requests 24 --workers 2 --devices 2 \
   --snapshot-dir "$smoke_dir/warm-state" --drain-after-us 400
@@ -141,6 +142,16 @@ grep -q "restore:" "$smoke_dir/restore.txt" || {
   echo "error: warm restart printed no restore report" >&2
   exit 1
 }
+grep -Eq '^  gemm +clean +[1-9][0-9]* programs' "$smoke_dir/restore.txt" || {
+  echo "error: warm restart did not restore the gemm bundle clean" >&2
+  cat "$smoke_dir/restore.txt" >&2
+  exit 1
+}
+if grep -Eq '^  [a-z]+ +(salvaged|quarantined) ' "$smoke_dir/restore.txt"; then
+  echo "error: warm restart salvaged or quarantined a bundle" >&2
+  cat "$smoke_dir/restore.txt" >&2
+  exit 1
+fi
 
 # Benchmark package: perfbench is a Cargo workspace of its own (path
 # dependencies on crates/), so the workspace test run above does not

@@ -6,8 +6,8 @@ use std::sync::{Arc, OnceLock};
 
 use mikpoly_suite::accel_sim::MachineModel;
 use mikpoly_suite::mikpoly::{
-    lpt_makespan, max_min_assign, sample_schedule, MicroKernelLibrary, MikPoly, OfflineOptions,
-    PerfModel,
+    decode_bundle, encode_bundle, lpt_makespan, max_min_assign, sample_schedule,
+    MicroKernelLibrary, MikPoly, OfflineOptions, PerfModel,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 use proptest::prelude::*;
@@ -99,14 +99,12 @@ proptest! {
         prop_assert!(fast >= lower - 1e-9);
     }
 
-    /// Compiled-program serialization round-trips.
+    /// A compiled program round-trips through a warm-state bundle.
     #[test]
-    fn program_serde_round_trip(m in 1usize..500, n in 1usize..500, k in 1usize..300) {
+    fn program_bundle_round_trip(m in 1usize..500, n in 1usize..500, k in 1usize..300) {
         let program = compiler().compile(&Operator::gemm(GemmShape::new(m, n, k)));
-        let json = serde_json::to_string(&*program).expect("serialize");
-        let back: mikpoly_suite::mikpoly::CompiledProgram =
-            serde_json::from_str(&json).expect("deserialize");
-        prop_assert_eq!(&*program, &back);
+        let back = decode_bundle(&encode_bundle([&*program])).expect("decode");
+        prop_assert_eq!(&back[..], std::slice::from_ref(&*program));
     }
 }
 

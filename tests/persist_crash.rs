@@ -11,15 +11,14 @@
 //!   decoder;
 //! * a swapped-in bundle that is internally valid but not the committed
 //!   one is damage, not data — quarantined, never silently adopted;
-//! * the legacy JSON path is capped before its superlinear parse can
-//!   stall a restart.
+//! * a bundle of a retired format version is rejected, not decoded.
 
 use std::sync::{Arc, OnceLock};
 
 use mikpoly_suite::accel_sim::MachineModel;
 use mikpoly_suite::mikpoly::{
-    decode_bundle, encode_bundle, encode_bundle_v2, record_end_offsets, salvage_bundle, Engine,
-    OfflineOptions, RestoreOutcome,
+    decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, Engine, OfflineOptions,
+    RestoreOutcome,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 
@@ -85,19 +84,26 @@ fn truncation_at_every_offset_salvages_the_exact_prefix() {
 }
 
 #[test]
-fn previous_format_loads_and_bit_flips_never_pass_strict_decode() {
+fn previous_format_is_rejected_and_bit_flips_never_pass_strict_decode() {
     let engine = shared_engine();
-    let programs =
-        decode_bundle(&engine.gemm_compiler().encode_program_cache()).expect("self decode");
-    // The previous binary revision (no checksums) decodes forever.
-    let v2 = encode_bundle_v2(programs.iter());
-    assert_eq!(
-        decode_bundle(&v2).expect("v2 decodes").len(),
-        programs.len()
+    let v3 = engine.gemm_compiler().encode_program_cache();
+    // A retired format version is rejected by both loaders, never
+    // decoded: the restore ladder quarantines it and the compiler starts
+    // cold.
+    let mut v2 = v3.clone();
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let err = decode_bundle(&v2).expect_err("v2 is not read");
+    assert!(
+        err.to_string().contains("unsupported bundle version 2"),
+        "{err}"
     );
+    assert!(salvage_bundle(&v2).programs.is_empty());
+    assert!(fresh_engine()
+        .gemm_compiler()
+        .load_program_cache_bytes(&v2)
+        .is_err());
     // Any single-bit flip anywhere in the checksummed format is caught
     // by the strict decoder, and salvage stays panic-free on it.
-    let v3 = encode_bundle(programs.iter());
     for pos in (0..v3.len()).step_by(97) {
         for bit in [0u8, 3, 7] {
             let mut damaged = v3.clone();
@@ -183,25 +189,5 @@ fn a_swapped_bundle_never_mixes_generations() {
         matches!(conv.outcome, RestoreOutcome::Clean),
         "the untouched bundle stays clean: {restore}"
     );
-    // Re-plant the forgery (the restore above quarantined it away):
-    // the strict loader refuses the directory outright.
-    std::fs::write(dir.join("gemm.mpac.2"), &forged).expect("re-plant forged bundle");
-    assert!(fresh_engine().load_program_caches(&dir).is_err());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn oversized_legacy_json_is_rejected_with_guidance() {
-    let engine = shared_engine();
-    let path = std::env::temp_dir().join(format!("mikpoly-legacy-cap-{}.json", std::process::id()));
-    let mut blob = vec![b' '; (1 << 20) + 1];
-    blob[0] = b'[';
-    std::fs::write(&path, &blob).expect("write oversized JSON");
-    let err = engine
-        .gemm_compiler()
-        .load_program_cache(&path)
-        .expect_err("an over-cap legacy document must be rejected, not parsed");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("binary format"), "{err}");
-    let _ = std::fs::remove_file(&path);
 }
