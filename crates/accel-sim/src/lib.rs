@@ -74,8 +74,8 @@ pub use noise::{hash_f64, unit_noise};
 #[cfg(any(test, feature = "reference-sim"))]
 pub use reference::{simulate_reference, simulate_reference_profiled, simulate_reference_traced};
 pub use scheduler::{
-    simulate, simulate_launches, simulate_profiled, simulate_traced, try_simulate,
-    try_simulate_launches, try_simulate_traced, SimProfile, TraceEvent,
+    simulate, simulate_profiled, simulate_traced, try_simulate, try_simulate_launches, SimProfile,
+    TraceEvent,
 };
 pub use task::{Launch, TaskGroup, TaskShape, TaskSpec};
 pub use timing::{

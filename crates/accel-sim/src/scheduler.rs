@@ -217,28 +217,20 @@ pub fn simulate_profiled(
 /// Like [`simulate`], additionally returning every task's `(pe, start,
 /// end, warps)` lifetime — the data behind the paper's Fig. 15(b)
 /// warp-over-time view.
+///
+/// # Panics
+///
+/// On the same malformed launches as [`simulate`].
 pub fn simulate_traced(
     machine: &MachineModel,
     launch: &Launch,
     mode: TimingMode,
 ) -> (SimReport, Vec<TraceEvent>) {
-    try_simulate_traced(machine, launch, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate_traced`].
-///
-/// # Errors
-///
-/// Exactly those of [`try_simulate`].
-pub fn try_simulate_traced(
-    machine: &MachineModel,
-    launch: &Launch,
-    mode: TimingMode,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
     let mut trace = Vec::with_capacity(launch.grid_size());
-    let report = simulate_impl(machine, launch, mode, Some(&mut trace), None)?;
+    let report = simulate_impl(machine, launch, mode, Some(&mut trace), None)
+        .unwrap_or_else(|e| panic!("{e}"));
     trace.sort_by(|a, b| a.start_ns.total_cmp(&b.start_ns).then(a.pe.cmp(&b.pe)));
-    Ok((report, trace))
+    (report, trace)
 }
 
 fn simulate_impl(
@@ -460,20 +452,6 @@ fn simulate_impl(
 
 /// Simulates a sequence of launches executed back to back (one operator
 /// region sequence, or a whole model's operator list).
-///
-/// # Panics
-///
-/// Panics on the same malformed launches as [`simulate`]; see
-/// [`try_simulate_launches`].
-pub fn simulate_launches(
-    machine: &MachineModel,
-    launches: &[Launch],
-    mode: TimingMode,
-) -> SimReport {
-    try_simulate_launches(machine, launches, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate_launches`].
 ///
 /// # Errors
 ///
@@ -753,7 +731,8 @@ mod tests {
         let m = MachineModel::a100();
         let l = Launch::grid(spec(128, 128, 32, 8, 16), 108);
         let one = simulate(&m, &l, TimingMode::Evaluate);
-        let three = simulate_launches(&m, &[l.clone(), l.clone(), l], TimingMode::Evaluate);
+        let three = try_simulate_launches(&m, &[l.clone(), l.clone(), l], TimingMode::Evaluate)
+            .expect("valid launches");
         assert!((three.time_ns - 3.0 * one.time_ns).abs() < 1.0);
         assert_eq!(three.grid_size, 3 * one.grid_size);
     }
@@ -813,8 +792,7 @@ mod tests {
                 let fast = try_simulate(machine, launch, mode).expect("valid launch");
                 let slow = simulate_reference(machine, launch, mode);
                 assert_eq!(fast, slow, "report diverged on {launch:?} {mode:?}");
-                let (fast_t, fast_trace) =
-                    try_simulate_traced(machine, launch, mode).expect("valid launch");
+                let (fast_t, fast_trace) = simulate_traced(machine, launch, mode);
                 let (slow_t, slow_trace) =
                     crate::reference::simulate_reference_traced(machine, launch, mode);
                 assert_eq!(fast_t, slow_t);

@@ -236,17 +236,7 @@ pub fn run(h: &Harness) -> Vec<Report> {
             "victim_shed": victim.dispositions.shed,
         },
     });
-    let path = h.config.results_dir.join("batch-serving.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&artifact).expect("json"),
-    ) {
-        Ok(()) => println!("   (artifact: {})", path.display()),
-        Err(e) => eprintln!("   (artifact write failed: {e})"),
-    }
+    h.write_artifact("batch-serving.json", &artifact);
 
     // The standing gates. Deterministic virtual timelines on a warm
     // cache, so these hold in quick mode too — CI runs this experiment

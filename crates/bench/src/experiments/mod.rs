@@ -5,7 +5,6 @@
 pub mod abl_patterns;
 pub mod abl_search;
 pub mod batch_serving;
-pub mod cache_bench;
 pub mod case_study;
 pub mod chaos_serving;
 pub mod ext_colaunch;
@@ -27,7 +26,6 @@ pub mod fig13;
 pub mod npu_e2e;
 pub mod oracle_gap;
 pub mod oracle_gap_hard;
-pub mod sim_profile;
 pub mod sim_throughput;
 pub mod tab05;
 pub mod tab08;
@@ -69,8 +67,6 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
         ("ext-serving", ext_serving::run),
         ("batch-serving", batch_serving::run),
         ("chaos-serving", chaos_serving::run),
-        ("cache-bench", cache_bench::run),
-        ("sim-profile", sim_profile::run),
         ("sim-throughput", sim_throughput::run),
         ("ext-colaunch", ext_colaunch::run),
         ("abl-patterns", abl_patterns::run),

@@ -66,16 +66,6 @@ pub fn run(h: &Harness) -> Vec<Report> {
         "summary": serde_json::to_value(&summary).expect("summary json"),
         "samples": serde_json::to_value(&samples).expect("samples json"),
     });
-    let path = h.config.results_dir.join("oracle-gap.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&artifact).expect("json"),
-    ) {
-        Ok(()) => println!("   (artifact: {})", path.display()),
-        Err(e) => eprintln!("   (artifact write failed: {e})"),
-    }
+    h.write_artifact("oracle-gap.json", &artifact);
     vec![report]
 }

@@ -197,16 +197,6 @@ pub fn run(h: &Harness) -> Vec<Report> {
             },
         },
     });
-    let path = h.config.results_dir.join("oracle-gap-hard.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&artifact).expect("json"),
-    ) {
-        Ok(()) => println!("   (artifact: {})", path.display()),
-        Err(e) => eprintln!("   (artifact write failed: {e})"),
-    }
+    h.write_artifact("oracle-gap-hard.json", &artifact);
     vec![report]
 }

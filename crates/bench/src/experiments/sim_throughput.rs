@@ -11,17 +11,26 @@
 //! * the **relative gate** — at least [`MIN_SPEEDUP`]x the reference
 //!   loop measured in the same process, or
 //! * the **absolute floor** — [`MIN_TASKS_PER_SEC`] simulated tasks per
-//!   host second, 10x the pre-rebuild committed baseline of ~1.4M
-//!   tasks/s recorded in `results/sim-profile.json` before the rebuild.
+//!   host second, 10x the ~1.4M tasks/s the pre-rebuild scan loop
+//!   profiled at.
 //!
 //! Both gates apply only to full-fidelity runs (`stride == 1`): quick
 //! runs shrink the workloads below the regime where fixed per-launch
 //! costs amortize, so they report but do not gate.
+//!
+//! Every run, quick or full, also gates the simulator's self-profile:
+//! one [`simulate_profiled`] pass per full-scale workload, outside the
+//! timed repetitions, must attribute its wall time to the loop's phases
+//! within [`COVERAGE_TOLERANCE`]. The lap timer is relayed, never reset,
+//! so a larger gap means a phase of the hot loop escaped instrumentation.
+//! Quick runs profile at full scale too: a call's few fixed microseconds
+//! outside the timer would put the quick grids at only 0.98-0.99.
 
 use std::time::Instant;
 
 use accel_sim::{
-    simulate, simulate_reference, Launch, MachineModel, TaskGroup, TaskShape, TaskSpec, TimingMode,
+    simulate, simulate_profiled, simulate_reference, Launch, MachineModel, TaskGroup, TaskShape,
+    TaskSpec, TimingMode,
 };
 
 use crate::setup::Harness;
@@ -35,13 +44,21 @@ const MIN_SPEEDUP: f64 = 10.0;
 /// pre-rebuild scan-loop baseline (~1.4M tasks/s).
 const MIN_TASKS_PER_SEC: f64 = 14_000_000.0;
 
+/// Largest allowed gap between the profiled phases' summed attribution
+/// and the profiled pass's wall time, as a fraction of the wall time.
+const COVERAGE_TOLERANCE: f64 = 0.02;
+
+/// Grid scale of the full-fidelity workloads.
+const FULL_SCALE: usize = 64;
+
 fn spec(um: usize, un: usize, uk: usize, warps: usize, t: usize) -> TaskSpec {
     TaskSpec::new(TaskShape::gemm_tile_f16(um, un, uk), warps, t)
 }
 
 fn workloads(m: &MachineModel, scale: usize) -> Vec<(&'static str, Launch)> {
-    // The sim-profile cases at a larger grid, so per-launch fixed costs
-    // amortize and the measurement reflects steady-state task flow.
+    // Full waves plus a tail, deeply co-resident small tiles, and mixed
+    // groups, at grids large enough that per-launch fixed costs amortize
+    // and the measurement reflects steady-state task flow.
     vec![
         (
             "full-waves-plus-tail",
@@ -76,11 +93,24 @@ fn best_of(reps: usize, warmups: usize, mut f: impl FnMut()) -> u64 {
     best.max(1)
 }
 
+/// Summed per-phase attribution over summed wall time of one profiled
+/// pass per full-scale workload.
+fn attribution_coverage(m: &MachineModel) -> f64 {
+    let (mut wall_ns, mut attributed_ns) = (0u64, 0u64);
+    for (_, launch) in workloads(m, FULL_SCALE) {
+        let wall = Instant::now();
+        let (_, profile) = simulate_profiled(m, &launch, TimingMode::Evaluate);
+        wall_ns += wall.elapsed().as_nanos() as u64;
+        attributed_ns += profile.attributed_ns();
+    }
+    attributed_ns as f64 / wall_ns.max(1) as f64
+}
+
 /// Runs the throughput gate and writes `results/sim-throughput.json`.
 pub fn run(h: &Harness) -> Vec<Report> {
     let m = h.gpu();
     let full = h.config.stride == 1;
-    let scale = if full { 64 } else { 8 };
+    let scale = if full { FULL_SCALE } else { 8 };
     let reps = if full { 7 } else { 3 };
     let warmups = if full { 2 } else { 1 };
     let cases = workloads(&m, scale);
@@ -138,15 +168,24 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let fast_tps = total_tasks as f64 / (fast_total_ns as f64 / 1e9);
     let ref_tps = total_tasks as f64 / (ref_total_ns as f64 / 1e9);
     let speedup = ref_total_ns as f64 / fast_total_ns as f64;
+    let coverage = attribution_coverage(&m);
     report.headline("fast core, simulated tasks per host second", fast_tps);
     report.headline("reference loop, simulated tasks per host second", ref_tps);
     report.headline(
         format!("speedup over reference (gate >= {MIN_SPEEDUP}x on full runs)").as_str(),
         speedup,
     );
+    report.headline(
+        "profiled attribution coverage of wall time (gate 0.98..1.02)",
+        coverage,
+    );
 
     let artifact = serde_json::json!({
         "machine": m.name,
+        "host_cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "build_profile": if cfg!(debug_assertions) { "debug" } else { "release" },
+        "repetitions": reps,
+        "warmups": warmups,
         "gated": full,
         "min_speedup": MIN_SPEEDUP,
         "min_tasks_per_sec": MIN_TASKS_PER_SEC,
@@ -154,20 +193,18 @@ pub fn run(h: &Harness) -> Vec<Report> {
         "fast_tasks_per_sec": fast_tps,
         "reference_tasks_per_sec": ref_tps,
         "speedup": speedup,
+        "attribution_coverage": coverage,
+        "coverage_tolerance": COVERAGE_TOLERANCE,
         "cases": rows_json,
     });
-    let path = h.config.results_dir.join("sim-throughput.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&artifact).expect("json"),
-    ) {
-        Ok(()) => println!("   (artifact: {})", path.display()),
-        Err(e) => eprintln!("   (artifact write failed: {e})"),
-    }
+    h.write_artifact("sim-throughput.json", &artifact);
 
+    assert!(
+        (coverage - 1.0).abs() < COVERAGE_TOLERANCE,
+        "per-phase attribution covers {:.1}% of wall time (must be within {:.0}%)",
+        coverage * 100.0,
+        COVERAGE_TOLERANCE * 100.0
+    );
     if full {
         assert!(
             speedup >= MIN_SPEEDUP,

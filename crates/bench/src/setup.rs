@@ -71,6 +71,20 @@ impl Harness {
         Self { config }
     }
 
+    /// Writes `artifact` as pretty JSON to `name` under the results
+    /// directory, reporting the path (or the write failure) on the terminal.
+    pub fn write_artifact(&self, name: &str, artifact: &serde_json::Value) {
+        let path = self.config.results_dir.join(name);
+        if let Some(parent) = path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        let json = serde_json::to_string_pretty(artifact).expect("json");
+        match std::fs::write(&path, json) {
+            Ok(()) => println!("   (artifact: {})", path.display()),
+            Err(e) => eprintln!("   (artifact write failed: {e})"),
+        }
+    }
+
     fn cache_path(machine: &MachineModel, options: &OfflineOptions) -> PathBuf {
         let dir = workspace_root().join("target/mikpoly-libs");
         dir.join(format!(

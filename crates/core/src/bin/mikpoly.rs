@@ -18,8 +18,7 @@
 //! mikpoly chaos [--requests N] [--workers N] [--seed N] [--fault-rate F]
 //!               [--stall-ns N] [--queue-capacity N] [--deadline-us N]
 //!               [--compile-budget-us N] [--machine ...]
-//! mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--capacity N]
-//!               [--theta F] [--seed N] [--min-hit-rate F]
+//! mikpoly cache-bench [--threads N] [--ops N] [--keys N]
 //!               [--restart-entries N] [--restart-budget-ms N] [--machine ...]
 //! ```
 //!
@@ -61,8 +60,8 @@ use accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly::serving::poisson_arrivals;
 use mikpoly::telemetry::{render_blackbox, SloPolicy, Telemetry};
 use mikpoly::{
-    encode_bundle, BatchingOptions, BreakerPolicy, CacheStats, CompiledProgram, Disposition,
-    Engine, MikPoly, OfflineOptions, OnlineOptions, PatternId, Region, Request, ServingOptions,
+    encode_bundle, BatchingOptions, BreakerPolicy, CompiledProgram, Disposition, Engine, MikPoly,
+    OfflineOptions, OnlineOptions, PatternId, Region, Request, ServingOptions, ServingReport,
     ServingRuntime, ShardedCache, Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
 };
 use rand::rngs::SmallRng;
@@ -502,9 +501,7 @@ fn chaos(machine: MachineModel, args: &[String]) {
     }
 
     eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
-    let mut offline = OfflineOptions::fast();
-    offline.n_gen = 4;
-    let engine = Arc::new(Engine::offline(machine.clone(), &offline));
+    let engine = Arc::new(Engine::offline(machine.clone(), &smoke_offline()));
     eprintln!("offline: done\n");
 
     // One injected-fault rate drives every fault dimension; the stall
@@ -525,36 +522,11 @@ fn chaos(machine: MachineModel, args: &[String]) {
         fault_plan: Some(Arc::new(plan)),
         ..ServingOptions::default()
     };
-    let shapes = [
-        GemmShape::new(256, 256, 256),
-        GemmShape::new(777, 512, 256),
-        GemmShape::new(1111, 999, 512),
-        GemmShape::new(64, 64, 64),
-        GemmShape::new(320, 192, 128),
-        GemmShape::new(511, 257, 96),
-        GemmShape::new(900, 300, 300),
-        GemmShape::new(128, 1024, 64),
-    ];
-    let requests: Vec<Request> = poisson_arrivals(n_requests, 30_000.0, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, arrival_ns)| {
-            let r = Request::single(id, arrival_ns, Operator::gemm(shapes[id % shapes.len()]));
-            match deadline_us {
-                Some(us) => r.with_deadline(arrival_ns + us * 1e3),
-                None => r,
-            }
-        })
-        .collect();
+    let requests = gemm_stream(n_requests, seed, deadline_us);
 
     let cluster = Cluster::new(machine, workers, Interconnect::nvlink3());
     let runtime = ServingRuntime::new(engine, cluster, workers).with_options(options);
-    // Injected compile panics are caught at the worker boundary; silence
-    // the default panic hook's backtrace spam while the stream runs.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = runtime.serve(&requests);
-    std::panic::set_hook(prev_hook);
+    let report = serve_quietly(&runtime, &requests);
 
     // The invariant under chaos: every request terminates with exactly
     // one disposition, shed reasons appear iff the request was shed, and
@@ -630,12 +602,10 @@ fn health(machine: MachineModel, args: &[String]) {
     }
 
     eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
-    let mut offline = OfflineOptions::fast();
-    offline.n_gen = 4;
     let telemetry = Telemetry::enabled();
     let engine = Arc::new(Engine::offline_with_telemetry(
         machine.clone(),
-        &offline,
+        &smoke_offline(),
         Arc::clone(&telemetry),
     ));
     eprintln!("offline: done\n");
@@ -655,36 +625,11 @@ fn health(machine: MachineModel, args: &[String]) {
         }),
         ..ServingOptions::default()
     };
-    let shapes = [
-        GemmShape::new(256, 256, 256),
-        GemmShape::new(777, 512, 256),
-        GemmShape::new(1111, 999, 512),
-        GemmShape::new(64, 64, 64),
-        GemmShape::new(320, 192, 128),
-        GemmShape::new(511, 257, 96),
-        GemmShape::new(900, 300, 300),
-        GemmShape::new(128, 1024, 64),
-    ];
-    let requests: Vec<Request> = poisson_arrivals(n_requests, 30_000.0, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, arrival_ns)| {
-            let r = Request::single(id, arrival_ns, Operator::gemm(shapes[id % shapes.len()]));
-            match deadline_us {
-                Some(us) => r.with_deadline(arrival_ns + us * 1e3),
-                None => r,
-            }
-        })
-        .collect();
+    let requests = gemm_stream(n_requests, seed, deadline_us);
 
     let cluster = Cluster::new(machine, workers, Interconnect::nvlink3());
     let runtime = ServingRuntime::new(engine, cluster, workers).with_options(options);
-    // Injected compile panics are caught at the worker boundary; silence
-    // the default panic hook's backtrace spam while the stream runs.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = runtime.serve(&requests);
-    std::panic::set_hook(prev_hook);
+    let report = serve_quietly(&runtime, &requests);
 
     let policy = SloPolicy {
         compile_p99_budget_ns: Some(compile_budget_us as f64 * 1e3),
@@ -770,6 +715,51 @@ fn health(machine: MachineModel, args: &[String]) {
         "health: SLO {} (snapshot self-validated)",
         if slo.violated { "VIOLATED" } else { "holding" }
     );
+}
+
+/// The small offline stage the chaos, health and cache-bench smokes tune.
+fn smoke_offline() -> OfflineOptions {
+    let mut offline = OfflineOptions::fast();
+    offline.n_gen = 4;
+    offline
+}
+
+/// The fixed-seed request stream of the chaos and health smokes: eight
+/// GEMM shapes in rotation at 30k req/s Poisson arrivals, each with an
+/// optional relative deadline.
+fn gemm_stream(n_requests: usize, seed: u64, deadline_us: Option<f64>) -> Vec<Request> {
+    let shapes = [
+        GemmShape::new(256, 256, 256),
+        GemmShape::new(777, 512, 256),
+        GemmShape::new(1111, 999, 512),
+        GemmShape::new(64, 64, 64),
+        GemmShape::new(320, 192, 128),
+        GemmShape::new(511, 257, 96),
+        GemmShape::new(900, 300, 300),
+        GemmShape::new(128, 1024, 64),
+    ];
+    poisson_arrivals(n_requests, 30_000.0, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(id, arrival_ns)| {
+            let r = Request::single(id, arrival_ns, Operator::gemm(shapes[id % shapes.len()]));
+            match deadline_us {
+                Some(us) => r.with_deadline(arrival_ns + us * 1e3),
+                None => r,
+            }
+        })
+        .collect()
+}
+
+/// Serves `requests` with the default panic hook silenced: injected
+/// compile panics are caught at the worker boundary, and the hook's
+/// backtrace spam would bury the report.
+fn serve_quietly(runtime: &ServingRuntime, requests: &[Request]) -> ServingReport {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let report = runtime.serve(requests);
+    std::panic::set_hook(prev_hook);
+    report
 }
 
 /// Parses a Chrome trace-event file and prints per-phase event counts.
@@ -876,25 +866,29 @@ fn synthetic_programs(compiler: &MikPoly, n: usize) -> Vec<CompiledProgram> {
         .collect()
 }
 
-/// Stress-benches the program cache: a bounded `ShardedCache` under
-/// skewed (Zipfian) read-heavy traffic from N threads, then a
-/// warm restart from a bundle file. Prints throughput, hit rate, and the
-/// restart time, and exits non-zero if any cache invariant is violated,
-/// the hit rate falls below the floor, the restart loses programs, or it
-/// misses its budget — the CI cache smoke.
+/// Zipf skew of the cache-bench key distribution.
+const CACHE_BENCH_THETA: f64 = 1.05;
+/// Seed of the cache-bench key streams.
+const CACHE_BENCH_SEED: u64 = 42;
+/// Hit-rate floor of the cache-bench stress.
+const CACHE_BENCH_MIN_HIT_RATE: f64 = 0.3;
+
+/// Stress-tests the program cache: a bounded `ShardedCache` (capacity a
+/// quarter of the key space) under skewed (Zipfian) read-heavy traffic
+/// from N threads, then a warm restart from a bundle file. Prints the
+/// hit rate and the restart time, and exits non-zero if any cache
+/// invariant is violated, the hit rate falls below the floor, the
+/// restart loses programs, or it misses its budget — the CI cache smoke.
 fn cache_bench(machine: MachineModel, args: &[String]) {
     let threads: usize = parsed_flag(args, "--threads").unwrap_or(4);
     let ops: usize = parsed_flag(args, "--ops").unwrap_or(200_000);
     let keys: usize = parsed_flag(args, "--keys").unwrap_or(4096);
-    let capacity: usize = parsed_flag(args, "--capacity").unwrap_or_else(|| (keys / 4).max(1));
-    let theta: f64 = parsed_flag(args, "--theta").unwrap_or(1.05);
-    let seed: u64 = parsed_flag(args, "--seed").unwrap_or(42);
-    let min_hit_rate: f64 = parsed_flag(args, "--min-hit-rate").unwrap_or(0.3);
     let restart_entries: usize = parsed_flag(args, "--restart-entries").unwrap_or(10_000);
     let restart_budget_ms: u64 = parsed_flag(args, "--restart-budget-ms").unwrap_or(1_000);
-    if threads == 0 || ops == 0 || keys == 0 || capacity == 0 {
-        usage("cache-bench needs positive --threads/--ops/--keys/--capacity");
+    if threads == 0 || ops == 0 || keys == 0 {
+        usage("cache-bench needs positive --threads/--ops/--keys");
     }
+    let capacity = (keys / 4).max(1);
     let mut violations = 0usize;
     let mut violation = |msg: String| {
         eprintln!("invariant violated: {msg}");
@@ -905,41 +899,27 @@ fn cache_bench(machine: MachineModel, args: &[String]) {
     // get_or_compute over the same skewed key distribution; the hot set
     // must stay resident (segmented LRU) while the tail churns through
     // the capacity bound.
-    let zipf = Zipf::new(keys, theta);
-    let stress = |threads: usize| -> (f64, CacheStats, Result<(), String>, usize) {
-        let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::bounded(capacity));
-        let per_thread = ops / threads;
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let cache = Arc::clone(&cache);
-                let zipf = &zipf;
-                scope.spawn(move || {
-                    let mut rng =
-                        SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-                    for _ in 0..per_thread {
-                        let k = zipf.sample(&mut rng) as u64;
-                        let (v, _) = cache.get_or_compute(&k, || k.wrapping_mul(2));
-                        assert_eq!(*v, k.wrapping_mul(2), "cache returned a wrong value");
-                    }
-                });
-            }
-        });
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let total = per_thread * threads;
-        (
-            total as f64 / secs,
-            cache.stats(),
-            cache.check_invariants(),
-            total,
-        )
-    };
-    let (base_tput, _, base_inv, _) = stress(1);
-    if let Err(e) = base_inv {
-        violation(format!("single-thread stress: {e}"));
-    }
-    let (tput, stats, inv, total_ops) = stress(threads);
-    if let Err(e) = inv {
+    let zipf = Zipf::new(keys, CACHE_BENCH_THETA);
+    let cache: ShardedCache<u64, u64> = ShardedCache::bounded(capacity);
+    let per_thread = ops / threads;
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (cache, zipf) = (&cache, &zipf);
+            scope.spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(
+                    CACHE_BENCH_SEED ^ (t as u64).wrapping_mul(0x9E37_79B9),
+                );
+                for _ in 0..per_thread {
+                    let k = zipf.sample(&mut rng) as u64;
+                    let (v, _) = cache.get_or_compute(&k, || k.wrapping_mul(2));
+                    assert_eq!(*v, k.wrapping_mul(2), "cache returned a wrong value");
+                }
+            });
+        }
+    });
+    let total_ops = per_thread * threads;
+    let stats = cache.stats();
+    if let Err(e) = cache.check_invariants() {
         violation(format!("{threads}-thread stress: {e}"));
     }
     let lookups = stats.hits + stats.misses + stats.coalesced_waits;
@@ -968,22 +948,15 @@ fn cache_bench(machine: MachineModel, args: &[String]) {
             stats.entries
         ));
     }
-    if stats.hit_rate() < min_hit_rate {
+    if stats.hit_rate() < CACHE_BENCH_MIN_HIT_RATE {
         violation(format!(
-            "hit rate {:.3} under the {min_hit_rate} floor",
+            "hit rate {:.3} under the {CACHE_BENCH_MIN_HIT_RATE} floor",
             stats.hit_rate()
         ));
     }
     println!(
-        "stress: {total_ops} ops, {keys} keys (theta {theta}), capacity {capacity}, {} shards",
+        "stress: {total_ops} ops on {threads} threads, {keys} keys (theta {CACHE_BENCH_THETA}), capacity {capacity}, {} shards",
         mikpoly::cache::DEFAULT_SHARDS
-    );
-    println!(
-        "  1 thread:  {:>10.0} ops/s\n  {threads} threads: {:>10.0} ops/s  ({:.2}x, host has {} cpu(s))",
-        base_tput,
-        tput,
-        tput / base_tput,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!(
         "  hit rate {:.3}  hits {}  misses {}  coalesced {}  evictions {}",
@@ -998,9 +971,7 @@ fn cache_bench(machine: MachineModel, args: &[String]) {
     // library stand in for a production-sized compiled cache; loading
     // their bundle must restore every program within the budget.
     eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
-    let mut offline = OfflineOptions::fast();
-    offline.n_gen = 4;
-    let a = MikPoly::offline(machine, &offline);
+    let a = MikPoly::offline(machine, &smoke_offline());
     let programs = synthetic_programs(&a, restart_entries);
     let tag = std::process::id();
     let bin_path = std::env::temp_dir().join(format!("mikpoly-cache-bench-{tag}.mpac"));
@@ -1072,7 +1043,7 @@ fn usage(msg: &str) -> ! {
         "  mikpoly chaos [--requests N] [--workers N] [--seed N] [--fault-rate F] [--stall-ns N]"
     );
     eprintln!("                [--queue-capacity N] [--deadline-us N] [--compile-budget-us N] [--machine ...]");
-    eprintln!("  mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--capacity N] [--theta F] [--seed N]");
-    eprintln!("                [--min-hit-rate F] [--restart-entries N] [--restart-budget-ms N] [--machine ...]");
+    eprintln!("  mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--restart-entries N]");
+    eprintln!("                [--restart-budget-ms N] [--machine ...]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

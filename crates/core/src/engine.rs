@@ -224,16 +224,33 @@ impl Engine {
     /// The operator the engine would actually dispatch for a request,
     /// after algorithm selection.
     pub fn select(&self, operator: &Operator) -> Operator {
-        match *operator {
+        match self.try_select(operator, CompileBudget::default()) {
+            Ok(dispatched) => dispatched,
+            // With no deadline and no fault plan every failure is the
+            // logic bug the infallible contract documents as a panic.
+            Err(err) => panic!("infallible algorithm selection failed: {err}"),
+        }
+    }
+
+    /// [`Engine::select`] under the caller's budget: cost-based selection
+    /// compiles both lowerings through the budgeted ladder, so a
+    /// deadline, `degrade_only` or a fault plan bounds it like any other
+    /// compile. The fixed policies do no compile work.
+    fn try_select(
+        &self,
+        operator: &Operator,
+        budget: CompileBudget<'_>,
+    ) -> Result<Operator, MikPolyError> {
+        Ok(match *operator {
             Operator::Conv2d { shape, .. } if winograd_applicable(&shape) => {
                 match self.conv_algorithm {
                     ConvAlgorithm::ImplicitGemm => *operator,
                     ConvAlgorithm::WinogradWhenEligible => Operator::conv2d_winograd(shape),
                     ConvAlgorithm::CostBased => {
-                        let direct = self.conv.compile(operator);
+                        let direct = self.conv.try_compile(operator, budget)?;
                         let wino_op = Operator::conv2d_winograd(shape);
-                        let wino = self.gemm.compile(&wino_op);
-                        if wino.predicted_ns < direct.predicted_ns {
+                        let wino = self.gemm.try_compile(&wino_op, budget)?;
+                        if wino.program.predicted_ns < direct.program.predicted_ns {
                             wino_op
                         } else {
                             *operator
@@ -242,30 +259,27 @@ impl Engine {
                 }
             }
             _ => *operator,
-        }
+        })
     }
 
     /// Compiles (with caching) and simulates one operator, routed through
     /// the right template compiler.
     pub fn run_operator(&self, operator: &Operator) -> EngineRun {
-        let (dispatched, compiler) = self.route(operator);
+        let dispatched = self.select(operator);
         EngineRun {
             dispatched,
-            run: compiler.run(&dispatched),
+            run: self.compiler_for(&dispatched).run(&dispatched),
         }
     }
 
-    /// The operator dispatched for a request, after algorithm selection,
-    /// and the template compiler that owns it.
-    fn route(&self, operator: &Operator) -> (Operator, &MikPoly) {
-        let dispatched = self.select(operator);
-        let compiler = match dispatched {
+    /// The template compiler that owns a dispatched operator.
+    fn compiler_for(&self, dispatched: &Operator) -> &MikPoly {
+        match dispatched {
             // Winograd's transform-domain GEMMs have plain GEMM access
             // patterns, so they use the GEMM-template library.
             Operator::Conv2d { .. } => &self.conv,
             _ => &self.gemm,
-        };
-        (dispatched, compiler)
+        }
     }
 
     /// Runs a weighted operator list (one forward pass): each `(operator,
@@ -301,7 +315,8 @@ impl Engine {
     ) -> Result<GraphPlan, MikPolyError> {
         let mut out = GraphPlan::default();
         for (op, count) in ops {
-            let (dispatched, compiler) = self.route(op);
+            let dispatched = self.try_select(op, budget)?;
+            let compiler = self.compiler_for(&dispatched);
             let (reply, compile_ns) = compiler.try_compile_timed(&dispatched, budget)?;
             let solo_ns = compiler.try_device_ns(&reply)?;
             out.run.device_ns += solo_ns * count as f64;
@@ -332,18 +347,12 @@ impl Engine {
     /// template compiler that owns its placement policy (mirrors
     /// [`Engine::simulate`]).
     pub fn launch_for(&self, program: &crate::plan::CompiledProgram) -> accel_sim::Launch {
-        match program.operator {
-            Operator::Conv2d { .. } => self.conv.launch_for(program),
-            _ => self.gemm.launch_for(program),
-        }
+        self.compiler_for(&program.operator).launch_for(program)
     }
 
     /// Simulates a previously compiled program on this engine's machine.
     pub fn simulate(&self, program: &crate::plan::CompiledProgram) -> SimReport {
-        match program.operator {
-            Operator::Conv2d { .. } => self.conv.simulate(program),
-            _ => self.gemm.simulate(program),
-        }
+        self.compiler_for(&program.operator).simulate(program)
     }
 
     /// Persists both template compilers' program caches under `dir`
@@ -585,6 +594,24 @@ mod tests {
                 direct.min(wino)
             );
         }
+    }
+
+    #[test]
+    fn cost_based_selection_honours_the_callers_budget() {
+        let e = engine(ConvAlgorithm::CostBased);
+        let eligible = Operator::conv2d(Conv2dShape::square(1, 16, 14, 16, 3, 1));
+        let degrade_only = CompileBudget {
+            degrade_only: true,
+            ..CompileBudget::default()
+        };
+        let plan = e
+            .try_plan_graph([(&eligible, 1)], degrade_only)
+            .expect("plan");
+        assert_eq!(plan.run.degraded, 1);
+        // Neither lowering may run the full search the budget forbids.
+        let full_searches = e.conv_compiler().cache_stats().computations
+            + e.gemm_compiler().cache_stats().computations;
+        assert_eq!(full_searches, 0);
     }
 
     #[test]

@@ -80,9 +80,11 @@ echo "==> cache smoke: mikpoly cache-bench (stress + restart gate)"
 # Simulator throughput gate: the event-driven scheduler core must hold
 # >= 10x the frozen reference loop (compiled via the `reference-sim`
 # feature) and an absolute floor of 14M simulated tasks per host second
-# — 10x the pre-rebuild scan-loop baseline. Records the measurement in
-# results/sim-throughput.json; the run exits non-zero below either gate.
-echo "==> sim-throughput gate (event core >= 10x reference, floor 14M tasks/s)"
+# — 10x the pre-rebuild scan-loop baseline — and the self-profile's
+# per-phase attribution must cover the profiled passes' wall time within
+# 2%. Records the measurement in results/sim-throughput.json; the run
+# exits non-zero below any gate.
+echo "==> sim-throughput gate (event core >= 10x reference, floor 14M tasks/s, profile coverage within 2%)"
 ./target/release/experiments sim-throughput
 
 # Batched-serving gate: shape-bucketed continuous batching plus co-launch

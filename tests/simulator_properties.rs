@@ -125,11 +125,12 @@ proptest! {
         let b = Launch::grid(spec, count_b);
         let ra = simulate(&machine, &a, TimingMode::Evaluate);
         let rb = simulate(&machine, &b, TimingMode::Evaluate);
-        let chained = mikpoly_suite::accel_sim::simulate_launches(
+        let chained = mikpoly_suite::accel_sim::try_simulate_launches(
             &machine,
             &[a, b],
             TimingMode::Evaluate,
-        );
+        )
+        .expect("valid launches");
         prop_assert!((chained.time_ns - (ra.time_ns + rb.time_ns)).abs() < 1e-3);
     }
 }
