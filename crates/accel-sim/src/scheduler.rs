@@ -446,6 +446,10 @@ fn simulate_impl(
         p.admissions = admissions;
         p.wave_closes = wave_closes;
     }
+    // Free the loop state (the task stream only borrows `runs`) before
+    // the last lap, so the profile attributes the whole call and not all
+    // but its tail.
+    drop((index, busy, dirty, pe_queues, runs));
     lap(&mut last_lap, &mut profile, |p| &mut p.finalize_ns);
     Ok(report)
 }

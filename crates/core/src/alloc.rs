@@ -59,6 +59,59 @@ pub fn max_min_assign(durations: &[f64], counts: &[usize], num_pes: usize) -> Ve
     out
 }
 
+/// At most this many task groups reach the allocation-free makespan
+/// routines below (a polymerization strategy has at most four regions).
+const MAX_GROUPS: usize = 8;
+
+/// The non-empty `(duration, count)` groups sorted by descending duration
+/// into a fixed buffer (no allocation), with their number.
+fn longest_first(groups: &[(f64, usize)]) -> ([(f64, usize); MAX_GROUPS], usize) {
+    let mut sorted = [(0.0f64, 0usize); MAX_GROUPS];
+    let mut ng = 0usize;
+    for &g in groups.iter().filter(|g| g.1 > 0) {
+        assert!(
+            ng < MAX_GROUPS,
+            "makespan routines support at most {MAX_GROUPS} groups"
+        );
+        let mut pos = ng;
+        while pos > 0 && sorted[pos - 1].0 < g.0 {
+            sorted[pos] = sorted[pos - 1];
+            pos -= 1;
+        }
+        sorted[pos] = g;
+        ng += 1;
+    }
+    (sorted, ng)
+}
+
+/// A lower bound on the makespan of *any* placement of task groups on
+/// `num_pes` cores, by the pigeonhole principle: with the groups sorted
+/// longest first and `C_g` the cumulative task count through group `g`,
+/// the `C_g` longest tasks put at least `ceil(C_g / |P|)` tasks of
+/// duration at least `d_g` on one core, so the makespan is at least
+/// `max_g ceil(C_g / |P|) · d_g`.
+///
+/// Unlike the fractional bound `max(total/|P|, dmax)` it sees whole
+/// rounds (34 equal tasks on 32 cores: 2 rounds, not 1.06). Adding a
+/// group never lowers it (every cumulative count can only grow), and it
+/// never exceeds the optimal makespan, hence never [`lpt_makespan`]: an
+/// admissible bound for branch-and-bound over partial strategies.
+///
+/// # Panics
+///
+/// Panics if `num_pes` is zero.
+pub fn pigeonhole_makespan_bound(groups: &[(f64, usize)], num_pes: usize) -> f64 {
+    assert!(num_pes > 0, "need at least one PE");
+    let (sorted, ng) = longest_first(groups);
+    let mut tasks = 0usize;
+    let mut bound = 0.0f64;
+    for &(d, c) in &sorted[..ng] {
+        tasks += c;
+        bound = bound.max(tasks.div_ceil(num_pes) as f64 * d);
+    }
+    bound
+}
+
 /// The LPT (max-min) makespan of task groups on `num_pes` cores, without
 /// materializing an assignment. `groups` holds `(duration, count)` pairs.
 /// Used by the NPU cost model to evaluate complete strategies exactly —
@@ -74,23 +127,7 @@ pub fn max_min_assign(durations: &[f64], counts: &[usize], num_pes: usize) -> Ve
 /// Panics if `num_pes` is zero.
 pub fn lpt_makespan(groups: &[(f64, usize)], num_pes: usize) -> f64 {
     assert!(num_pes > 0, "need at least one PE");
-    // Sort the (few) groups by descending duration without allocating.
-    const MAX_GROUPS: usize = 8;
-    let mut sorted = [(0.0f64, 0usize); MAX_GROUPS];
-    let mut ng = 0usize;
-    for &g in groups.iter().filter(|g| g.1 > 0) {
-        assert!(
-            ng < MAX_GROUPS,
-            "lpt_makespan supports at most {MAX_GROUPS} groups"
-        );
-        let mut pos = ng;
-        while pos > 0 && sorted[pos - 1].0 < g.0 {
-            sorted[pos] = sorted[pos - 1];
-            pos -= 1;
-        }
-        sorted[pos] = g;
-        ng += 1;
-    }
+    let (sorted, ng) = longest_first(groups);
 
     // Distinct load levels (load, cores at it), ascending; at most one new
     // level per group plus merges, so a small fixed buffer suffices.
@@ -275,5 +312,47 @@ mod lpt_tests {
     fn empty_groups_give_zero() {
         assert_eq!(lpt_makespan(&[], 32), 0.0);
         assert_eq!(lpt_makespan(&[(5.0, 0)], 32), 0.0);
+        assert_eq!(pigeonhole_makespan_bound(&[], 32), 0.0);
+        assert_eq!(pigeonhole_makespan_bound(&[(5.0, 0)], 32), 0.0);
+    }
+
+    #[test]
+    fn pigeonhole_bound_counts_whole_rounds() {
+        // 34 equal tasks on 32 cores: the bound is the LPT makespan.
+        assert_eq!(pigeonhole_makespan_bound(&[(10.0, 34)], 32), 20.0);
+        // 33 tasks of at least 4 on 32 cores: two of them share a core.
+        assert_eq!(
+            pigeonhole_makespan_bound(&[(4.0, 30), (9.0, 3)], 32),
+            (2.0f64 * 4.0).max(9.0)
+        );
+    }
+
+    proptest::proptest! {
+        /// The bound never exceeds the LPT makespan (which is at least the
+        /// optimum it bounds) and never decreases when a group is added —
+        /// the two properties that make it admissible for pruning partial
+        /// strategies against LPT-scored leaves.
+        #[test]
+        fn pigeonhole_bound_is_admissible_and_monotone(
+            groups in proptest::collection::vec((1.0f64..1e4, 0usize..200), 0..4),
+            extra in (1.0f64..1e4, 0usize..200),
+            pes in 1usize..64,
+        ) {
+            let bound = pigeonhole_makespan_bound(&groups, pes);
+            let lpt = lpt_makespan(&groups, pes);
+            proptest::prop_assert!(
+                bound <= lpt * (1.0 + 1e-12),
+                "bound {} above LPT makespan {}", bound, lpt
+            );
+            let mut grown = groups.clone();
+            grown.push(extra);
+            let grown_bound = pigeonhole_makespan_bound(&grown, pes);
+            proptest::prop_assert!(
+                grown_bound >= bound,
+                "adding {:?} lowered the bound {} -> {}", extra, bound, grown_bound
+            );
+            let grown_lpt = lpt_makespan(&grown, pes);
+            proptest::prop_assert!(grown_bound <= grown_lpt * (1.0 + 1e-12));
+        }
     }
 }

@@ -758,7 +758,7 @@ impl MikPoly {
         Ok(CachedProgram::new(program, faults.is_some()))
     }
 
-    /// Sleeps out an injected search stall, honoring the deadline: a stall
+    /// Burns out an injected search stall, honoring the deadline: a stall
     /// that cannot finish before the *soft* deadline burns only the time
     /// up to it and reports [`MikPolyError::DeadlineExceeded`] so the
     /// caller can still fall back within the hard deadline.
@@ -771,17 +771,17 @@ impl MikPoly {
         let stall = Duration::from_nanos(stall_ns);
         match deadline {
             None => {
-                std::thread::sleep(stall);
+                burn_until(Instant::now() + stall);
                 Ok(())
             }
             Some(hard) => {
                 let soft = soft_deadline(hard);
-                let now = Instant::now();
-                if now + stall < soft {
-                    std::thread::sleep(stall);
+                let end = Instant::now() + stall;
+                if end < soft {
+                    burn_until(end);
                     Ok(())
                 } else {
-                    std::thread::sleep(soft.saturating_duration_since(now));
+                    burn_until(soft);
                     Err(MikPolyError::DeadlineExceeded {
                         operator: *operator,
                     })
@@ -1013,6 +1013,26 @@ impl MikPoly {
             truncated,
             search: start.elapsed(),
         }
+    }
+}
+
+/// How far before its end a stall stops sleeping and starts yielding.
+/// An OS sleep can overshoot by milliseconds on a loaded host; yielding
+/// the last stretch ends the stall on time.
+const STALL_YIELD_MARGIN: Duration = Duration::from_millis(4);
+
+/// Holds the calling thread until `end`: one coarse sleep to
+/// [`STALL_YIELD_MARGIN`] before it, then yields until it. A stalled
+/// search occupies its core, so the stall does too.
+fn burn_until(end: Instant) {
+    let coarse = end
+        .saturating_duration_since(Instant::now())
+        .saturating_sub(STALL_YIELD_MARGIN);
+    if !coarse.is_zero() {
+        std::thread::sleep(coarse);
+    }
+    while Instant::now() < end {
+        std::thread::yield_now();
     }
 }
 

@@ -9,9 +9,15 @@
 //! is employed, enhancing parallel execution" (Section 4). The bound is
 //! admissible: it never exceeds the true cost of any completion, so cutting
 //! a subtree whose bound meets the incumbent cannot discard the optimum
-//! (within the configured margin).
+//! (within the configured margin). Static placement also prunes with the
+//! discrete `alloc::pigeonhole_makespan_bound`, which needs the partial
+//! strategy's task groups and so lives in the search's visitor.
+
+use accel_sim::{AllocationPolicy, MachineModel};
+use tensor_ir::GemmView;
 
 use crate::cost::CostModelKind;
+use crate::offline::TunedKernel;
 use crate::plan::Region;
 
 /// Accumulated cost of a partial strategy.
@@ -44,12 +50,45 @@ pub(crate) struct CostEval<'a> {
     pub best_rate: f64,
 }
 
-impl CostEval<'_> {
+impl<'a> CostEval<'a> {
+    /// The evaluator of one shape: `pipe` is the per-kernel `f_pipe`
+    /// parallel to `kernels`, and the remaining-work bound takes the
+    /// fastest per-task FLOP rate among them.
+    pub(crate) fn new(
+        machine: &MachineModel,
+        kernels: &[&TunedKernel],
+        pipe: &'a [f64],
+        view: &GemmView,
+        kind: CostModelKind,
+    ) -> Self {
+        let best_rate = kernels
+            .iter()
+            .zip(pipe)
+            .map(|(t, &p)| {
+                t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
+            })
+            .fold(1e-9, f64::max);
+        Self {
+            pipe,
+            kind,
+            static_alloc: machine.allocation == AllocationPolicy::StaticCompilerAssigned,
+            num_pes: machine.num_pes,
+            flops_per_row: 2.0 * view.shape.n as f64 * view.shape.k as f64,
+            best_rate,
+        }
+    }
+
+    /// Whether complete strategies are scored by the exact LPT makespan
+    /// (the full model under static placement) rather than [`Self::finish`].
+    pub(crate) fn lpt_leaves(&self) -> bool {
+        self.static_alloc && self.kind == CostModelKind::Full
+    }
+
     /// Extends a partial cost by one region, using the per-kernel `f_pipe`
     /// cache (O(1) per call).
     pub(crate) fn extend(&self, partial: Partial, region: &Region, kernel_idx: usize) -> Partial {
         let pipe = self.pipe[kernel_idx];
-        if self.static_alloc && self.kind == CostModelKind::Full {
+        if self.lpt_leaves() {
             Partial {
                 sum: partial.sum + region.tasks() as f64 * pipe,
                 dmax: partial.dmax.max(pipe),
@@ -72,7 +111,7 @@ impl CostEval<'_> {
     /// leaves of the full static-placement model use the exact LPT
     /// makespan instead).
     pub(crate) fn finish(&self, partial: Partial) -> f64 {
-        if self.static_alloc && self.kind == CostModelKind::Full {
+        if self.lpt_leaves() {
             (partial.sum / self.num_pes as f64).max(partial.dmax)
         } else {
             partial.sum

@@ -56,7 +56,7 @@ use std::time::Instant;
 use accel_sim::{AllocationPolicy, MachineModel};
 use tensor_ir::GemmView;
 
-use crate::alloc::lpt_makespan;
+use crate::alloc::{lpt_makespan, pigeonhole_makespan_bound};
 use crate::cost::CostModelKind;
 use crate::error::MikPolyError;
 use crate::offline::MicroKernelLibrary;
@@ -200,14 +200,25 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
         let eff = self.occ.map(|o| {
             self.eff_stack.last().expect("root eff") + o.region_ns(kernel_idx, region.tasks())
         });
+        let group = (self.eval.pipe[kernel_idx], region.tasks());
         if self.prune {
+            let cutoff = self.best_cost() * self.margin;
+            let mut model_cut = self.eval.lower_bound(acc, rows_remaining) >= cutoff;
+            if !model_cut && self.eval.lpt_leaves() {
+                // Leaves are scored by LPT makespan, which whole rounds
+                // bound from below: the pigeonhole bound of the groups
+                // placed so far, this region included, only grows as a
+                // completion adds regions.
+                self.group_stack.push(group);
+                model_cut =
+                    pigeonhole_makespan_bound(&self.group_stack, self.eval.num_pes) >= cutoff;
+                self.group_stack.pop();
+            }
             // A subtree survives if it can still improve *either*
             // incumbent: the two rankings disagree exactly where the
             // refinement has value, so the cut must be hopeless under
             // both. The partial efficiency sum is itself admissible
             // (completions only add regions).
-            let model_cut =
-                self.eval.lower_bound(acc, rows_remaining) >= self.best_cost() * self.margin;
             let eff_cut = match (eff, &self.best_eff) {
                 (Some(e), Some(b)) => e >= b.cost * self.margin,
                 (Some(_), None) => false,
@@ -222,8 +233,7 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
         if let Some(e) = eff {
             self.eff_stack.push(e);
         }
-        self.group_stack
-            .push((self.eval.pipe[kernel_idx], region.tasks()));
+        self.group_stack.push(group);
         Admit::Descend
     }
 
@@ -241,7 +251,7 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
             obs(pattern, regions);
         }
         let partial = *self.partials.last().expect("root partial");
-        let model_cost = if self.eval.static_alloc && self.eval.kind == CostModelKind::Full {
+        let model_cost = if self.eval.lpt_leaves() {
             // Exact max-min (LPT) allocation makespan of the complete
             // strategy; the additive bound is only used for pruning.
             lpt_makespan(&self.group_stack, self.eval.num_pes)
@@ -349,22 +359,7 @@ fn try_polymerize_observed(
     let kernels: Vec<_> = order.iter().map(|&i| raw_kernels[i]).collect();
     let pipe: Vec<f64> = order.iter().map(|&i| raw_pipe[i]).collect();
 
-    let flops_per_row = 2.0 * view.shape.n as f64 * view.shape.k as f64;
-    let best_rate = kernels
-        .iter()
-        .zip(&pipe)
-        .map(|(t, &p)| {
-            t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
-        })
-        .fold(1e-9, f64::max);
-    let eval = CostEval {
-        pipe: &pipe,
-        kind,
-        static_alloc,
-        num_pes: machine.num_pes,
-        flops_per_row,
-        best_rate,
-    };
+    let eval = CostEval::new(machine, &kernels, &pipe, view, kind);
     // Stage 4 applies on dynamically scheduled machines under the full
     // model: static placement already costs leaves exactly (LPT), and the
     // ablated models must keep their deliberately-ablated selection.
@@ -490,22 +485,7 @@ pub fn polymerize_degraded(
 
     // Cost the plan with the same Eq. 2 evaluator as the full search so
     // `predicted_ns` stays comparable across grades.
-    let flops_per_row = 2.0 * view.shape.n as f64 * view.shape.k as f64;
-    let best_rate = kernels
-        .iter()
-        .zip(&pipe)
-        .map(|(t, &p)| {
-            t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
-        })
-        .fold(1e-9, f64::max);
-    let eval = CostEval {
-        pipe: &pipe,
-        kind: CostModelKind::Full,
-        static_alloc,
-        num_pes: machine.num_pes,
-        flops_per_row,
-        best_rate,
-    };
+    let eval = CostEval::new(machine, &kernels, &pipe, view, CostModelKind::Full);
     let predicted_ns = eval.finish(eval.extend(Partial::default(), &region, top));
 
     let stats = SearchStats {
@@ -887,6 +867,86 @@ mod tests {
                     machine.name
                 );
             }
+        }
+    }
+
+    /// The bound the search prunes with is admissible: at every prefix of
+    /// every enumerated strategy it is at most that strategy's leaf cost
+    /// (Eq. 2 on the A100; on the Ascend 910A the LPT makespan, bounded by
+    /// both the fractional and the pigeonhole bound).
+    #[test]
+    fn bound_is_admissible_for_completions() {
+        let cases = [
+            (
+                MachineModel::a100(),
+                gpu_patterns(),
+                vec![
+                    (640usize, 384usize, 128usize),
+                    (777, 333, 111),
+                    (33, 65, 17),
+                ],
+            ),
+            (
+                MachineModel::ascend910a(),
+                all_patterns(),
+                vec![(96, 96, 96), (161, 130, 64), (40, 768, 768)],
+            ),
+        ];
+        for (machine, patterns, shapes) in cases {
+            let mut o = OfflineOptions::fast();
+            o.n_gen = 4;
+            let lib = MicroKernelLibrary::generate(&machine, &o);
+            let mut discrete_binds = 0usize;
+            for (mm, nn, kk) in shapes {
+                let view = Operator::gemm(GemmShape::new(mm, nn, kk)).gemm_view();
+                let kernels = lib.usable_kernels(&machine, &view);
+                let pipe = pipe_cache(&kernels, kk);
+                let eval = CostEval::new(&machine, &kernels, &pipe, &view, CostModelKind::Full);
+                let index_of = |r: &Region| {
+                    kernels
+                        .iter()
+                        .position(|t| t.kernel.id == r.kernel.id)
+                        .expect("an enumerated region uses a usable kernel")
+                };
+                let mut strategies = 0usize;
+                enumerate_strategies(&machine, &lib, &view, &patterns, |_, regions| {
+                    strategies += 1;
+                    let mut partial = Partial::default();
+                    let mut groups = Vec::new();
+                    let mut bounds = Vec::new();
+                    for r in regions {
+                        let i = index_of(r);
+                        partial = eval.extend(partial, r, i);
+                        groups.push((pipe[i], r.tasks()));
+                        let mut bound = eval.lower_bound(partial, mm - r.row1);
+                        if eval.lpt_leaves() {
+                            let discrete = pigeonhole_makespan_bound(&groups, machine.num_pes);
+                            discrete_binds += usize::from(discrete > bound);
+                            bound = bound.max(discrete);
+                        }
+                        bounds.push(bound);
+                    }
+                    let leaf = if eval.lpt_leaves() {
+                        lpt_makespan(&groups, machine.num_pes)
+                    } else {
+                        eval.finish(partial)
+                    };
+                    for (depth, bound) in bounds.iter().enumerate() {
+                        assert!(
+                            *bound <= leaf * (1.0 + 1e-9),
+                            "{} {mm}x{nn}x{kk}: prefix {} of {regions:?} bounds {bound} \
+                             above its completion's cost {leaf}",
+                            machine.name,
+                            depth + 1
+                        );
+                    }
+                });
+                assert!(strategies > 0, "{} {mm}x{nn}x{kk}", machine.name);
+            }
+            // On the NPU the pigeonhole bound must actually be exercised:
+            // somewhere it is tighter than the fractional one.
+            let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
+            assert_eq!(discrete_binds > 0, static_alloc, "{}", machine.name);
         }
     }
 
