@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use accel_sim::{FaultPlan, Launch, MachineModel, SimReport, TimingMode};
+use accel_sim::{FaultPlan, Launch, MachineModel, SimReport, TaskShape, TaskSpec, TimingMode};
 use mikpoly_telemetry::{span, Clock, Registry, Telemetry};
 use tensor_ir::Operator;
 
@@ -33,7 +33,7 @@ use crate::cost::CostModelKind;
 use crate::error::MikPolyError;
 use crate::offline::{MicroKernelLibrary, OfflineOptions};
 use crate::pattern::{default_patterns, Pattern};
-use crate::plan::{CompiledProgram, Region, SearchStats};
+use crate::plan::{CompiledProgram, ReductionGrid, Region, SearchStats};
 use crate::search::{polymerize_degraded, try_polymerize, SearchPolicy};
 
 /// Options of the online (polymerization) stage.
@@ -58,7 +58,8 @@ pub struct OnlineOptions {
     /// evicts unreferenced programs in insertion order while shapes that
     /// were hit while resident are promoted and survive churn — a
     /// deployment knob for serving fleets whose shape universe outgrows
-    /// memory.
+    /// memory. The compiler's launch memo (one simulated device time per
+    /// distinct launch) shares the bound.
     #[serde(default)]
     pub cache_capacity: Option<usize>,
     /// Knobs of the staged polymerization search (shortlist size, node
@@ -159,10 +160,12 @@ pub enum CompileGrade {
 
 /// A program-cache value: the compiled program plus its simulated device
 /// time. Serving simulates in noise-free [`TimingMode::Evaluate`], so the
-/// time is a pure function of the program. It is simulated on the first
-/// read, after the compile has been timed (never inside the single-flight
-/// fill), and it lives and dies with the slot: eviction, poison removal
-/// and a cache reset drop it, and it is never persisted.
+/// time is a pure function of the program's launch. It is read on the
+/// slot's first read, after the compile has been timed (never inside the
+/// single-flight fill), from the compiler's launch memo, which simulates
+/// each distinct [`LaunchKey`] once. The slot's copy lives and dies with
+/// the slot: eviction, poison removal and a cache reset drop it, and
+/// neither it nor the launch memo is ever persisted.
 #[derive(Debug)]
 pub(crate) struct CachedProgram {
     program: Arc<CompiledProgram>,
@@ -194,8 +197,7 @@ pub struct CompileReply {
     /// Poisoned cache entries evicted and recompiled on the way (only
     /// non-zero under an active fault plan).
     pub poison_retries: u32,
-    /// The cache slot `program` came from, which carries its device-time
-    /// memo.
+    /// The cache slot `program` came from, which carries its device time.
     slot: Arc<CachedProgram>,
 }
 
@@ -288,7 +290,72 @@ pub struct MikPoly {
     /// degraded plan must never shadow (or be shadowed by) the full
     /// search's plan for the same shape.
     degraded: ShardedCache<Operator, CachedProgram>,
+    /// Simulated device time per distinct launch, behind the program
+    /// cache slots: a slot's first read simulates only a launch no other
+    /// program has produced. Bounded like the program cache.
+    launch_memo: ShardedCache<LaunchKey, f64>,
     telemetry: Arc<Telemetry>,
+}
+
+/// A program's launch as it looks before placement: everything
+/// [`MikPoly::launch_for`] and [`CompiledProgram::reduction_launch`] read
+/// from it. Equal keys build equal launches, so programs of different
+/// shapes whose regions round to the same task grids share one simulated
+/// device time.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct LaunchKey {
+    grids: Vec<GridKey>,
+    reduction: Option<ReductionGrid>,
+}
+
+/// One region's task grid: its task (the [`TaskShape`] fields, `f64`s as
+/// bits, then warps and instances) and task count, plus, under
+/// static placement, the predicted task duration the max-min allocator
+/// places it by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GridKey {
+    task: [u64; 11],
+    count: usize,
+    task_ns: Option<u64>,
+}
+
+impl GridKey {
+    fn new(spec: &TaskSpec, count: usize, task_ns: Option<f64>) -> Self {
+        // Exhaustive destructuring: a new task field must join the key.
+        let TaskSpec {
+            shape,
+            warps,
+            instances,
+        } = *spec;
+        let TaskShape {
+            um,
+            un,
+            uk,
+            in_elem_bytes,
+            out_elem_bytes,
+            acc_elem_bytes,
+            load_scale,
+            stages,
+            quality,
+        } = shape;
+        Self {
+            task: [
+                um as u64,
+                un as u64,
+                uk as u64,
+                in_elem_bytes as u64,
+                out_elem_bytes as u64,
+                acc_elem_bytes as u64,
+                load_scale.to_bits(),
+                stages as u64,
+                quality.to_bits(),
+                warps as u64,
+                instances as u64,
+            ],
+            count,
+            task_ns: task_ns.map(f64::to_bits),
+        }
+    }
 }
 
 /// The stable per-shape key used by the fault plan, the circuit breaker,
@@ -324,18 +391,25 @@ impl MikPoly {
             options: OnlineOptions::default(),
             cache: ShardedCache::new(),
             degraded: ShardedCache::new(),
+            launch_memo: ShardedCache::new(),
             telemetry: Telemetry::disabled(),
         }
     }
 
     /// Replaces the online options (builder style). Clears the program
-    /// cache.
+    /// cache and the launch memo, both bounded by
+    /// [`OnlineOptions::cache_capacity`].
     #[must_use]
     pub fn with_options(mut self, options: OnlineOptions) -> Self {
-        self.cache = match options.cache_capacity {
-            Some(capacity) => ShardedCache::bounded(capacity),
-            None => ShardedCache::new(),
+        let (cache, launch_memo) = match options.cache_capacity {
+            Some(capacity) => (
+                ShardedCache::bounded(capacity),
+                ShardedCache::bounded(capacity),
+            ),
+            None => (ShardedCache::new(), ShardedCache::new()),
         };
+        self.cache = cache;
+        self.launch_memo = launch_memo;
         self.degraded = ShardedCache::new();
         self.options = options;
         self
@@ -534,6 +608,22 @@ impl MikPoly {
     /// coalesced waits, …).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Counter snapshot of the launch memo: `computations` is the number
+    /// of device simulations the serving path ran.
+    pub fn launch_memo_stats(&self) -> CacheStats {
+        self.launch_memo.stats()
+    }
+
+    /// Checks the launch memo's structural invariants at quiescence (see
+    /// [`ShardedCache::check_invariants`]).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    pub fn check_launch_memo(&self) -> Result<(), String> {
+        self.launch_memo.check_invariants()
     }
 
     /// Compiles a batch of operators, in parallel across OS threads, and
@@ -794,16 +884,47 @@ impl MikPoly {
     /// (via the library's performance models and the max-min allocator) on
     /// machines that require it.
     pub fn launch_for(&self, program: &CompiledProgram) -> Launch {
+        match self.task_durations(program) {
+            None => program.launch_dynamic(),
+            Some(durations) => program.launch_static(&self.machine, &durations),
+        }
+    }
+
+    /// The key of the program's launch: the task grids [`MikPoly::launch_for`]
+    /// places, without placing them, and the split-K reduction.
+    pub fn launch_key(&self, program: &CompiledProgram) -> LaunchKey {
+        let durations = self.task_durations(program);
+        // Static placement runs whole-reduction tasks, as `launch_static`.
+        let ways = match durations {
+            None => program.split_k.max(1),
+            Some(_) => 1,
+        };
+        let grids = program
+            .task_grids(ways)
+            .enumerate()
+            .map(|(i, (spec, count))| GridKey::new(&spec, count, durations.as_ref().map(|d| d[i])))
+            .collect();
+        LaunchKey {
+            grids,
+            reduction: program.reduction_grid(),
+        }
+    }
+
+    /// The predicted duration of one task of each region on machines with
+    /// compiler-assigned placement (the max-min allocator's input); `None`
+    /// where the hardware places tasks.
+    fn task_durations(&self, program: &CompiledProgram) -> Option<Vec<f64>> {
         match self.machine.allocation {
-            accel_sim::AllocationPolicy::DynamicHardware => program.launch_dynamic(),
+            accel_sim::AllocationPolicy::DynamicHardware => None,
             accel_sim::AllocationPolicy::StaticCompilerAssigned => {
                 let k = program.view.shape.k;
-                let durations: Vec<f64> = program
-                    .regions
-                    .iter()
-                    .map(|r| self.predict_task_ns(r, k))
-                    .collect();
-                program.launch_static(&self.machine, &durations)
+                Some(
+                    program
+                        .regions
+                        .iter()
+                        .map(|r| self.predict_task_ns(r, k))
+                        .collect(),
+                )
             }
         }
     }
@@ -862,7 +983,7 @@ impl MikPoly {
     /// histograms and the `compile.degraded` / `cache.poisoned` counters
     /// recorded. Every call simulates, to return the full [`SimReport`];
     /// the serving path ([`crate::Engine::try_plan_graph`]) reads only the
-    /// device time, from the cache slot's memo.
+    /// device time, through the cache slot from the launch memo.
     pub fn run(&self, operator: &Operator) -> OperatorRun {
         let (reply, compile_ns) = self
             .try_compile_timed(operator, CompileBudget::default())
@@ -935,8 +1056,9 @@ impl MikPoly {
     }
 
     /// Simulated device time of a reply's program, ns: read from its cache
-    /// slot's memo, or simulated and memoized on the slot's first read.
-    /// Bit-identical to `self.simulate(&reply.program).time_ns`.
+    /// slot, or on the slot's first read from the launch memo, which
+    /// simulates each distinct launch once. Bit-identical to
+    /// `self.simulate(&reply.program).time_ns`.
     ///
     /// # Errors
     ///
@@ -946,8 +1068,12 @@ impl MikPoly {
         if let Some(&ns) = reply.slot.device_ns.get() {
             return Ok(ns);
         }
-        let ns = self.try_simulate(&reply.program)?.time_ns;
-        Ok(*reply.slot.device_ns.get_or_init(|| ns))
+        let (ns, _) = self
+            .launch_memo
+            .try_get_or_compute(&self.launch_key(&reply.program), || {
+                self.try_simulate(&reply.program).map(|r| r.time_ns)
+            })?;
+        Ok(*reply.slot.device_ns.get_or_init(|| *ns))
     }
 
     /// The Oracle of Fig. 12(b): exhaustively simulates every strategy and
@@ -1181,6 +1307,24 @@ mod tests {
         assert_eq!(c.try_device_ns(&refill).unwrap().to_bits(), ns.to_bits());
         let c = c.with_options(OnlineOptions::default());
         assert_eq!(memo(&c, &a), None);
+    }
+
+    #[test]
+    fn rejected_launches_are_never_memoized() {
+        let c = compiler();
+        let mut program = (*c.compile(&Operator::gemm(GemmShape::new(300, 300, 300)))).clone();
+        program.regions[0].kernel.warps = c.machine().warp_cap_per_pe + 1;
+        let slot = Arc::new(CachedProgram::new(program, false));
+        let reply = CompileReply::new(slot, CacheOutcome::Computed, CompileGrade::Full, 0);
+        for _ in 0..2 {
+            assert!(matches!(
+                c.try_device_ns(&reply),
+                Err(MikPolyError::MalformedLaunch { .. })
+            ));
+        }
+        assert!(reply.slot.device_ns.get().is_none());
+        let memo = c.launch_memo_stats();
+        assert_eq!((memo.misses, memo.computations, memo.entries), (2, 0, 0));
     }
 
     #[test]

@@ -299,9 +299,10 @@ impl Engine {
     /// shares the one `budget`: the per-request deadline bounds the whole
     /// request, not each operator separately, and one fault context
     /// serves the whole call. This is the serving path: each operator's
-    /// device time is read from its program-cache slot, where it is
-    /// simulated once per cached program, on the first read after the
-    /// compile was timed — so it is never charged as compile time.
+    /// device time is read through its program-cache slot from the
+    /// compiler's launch memo, where it is simulated once per distinct
+    /// launch, on the first read after the compile was timed — so it is
+    /// never charged as compile time.
     ///
     /// # Errors
     ///
@@ -312,6 +313,19 @@ impl Engine {
         &self,
         ops: impl IntoIterator<Item = (&'a Operator, usize)>,
         budget: CompileBudget<'_>,
+    ) -> Result<GraphPlan, MikPolyError> {
+        self.plan_graph(ops, budget, true)
+    }
+
+    /// [`Engine::try_plan_graph`], building each operator's launches only
+    /// when `launches` is set; without them `ops` stays empty (solo
+    /// dispatch reads only the aggregate run, and on static-placement
+    /// machines a launch costs a max-min allocation).
+    pub(crate) fn plan_graph<'a>(
+        &self,
+        ops: impl IntoIterator<Item = (&'a Operator, usize)>,
+        budget: CompileBudget<'_>,
+        launches: bool,
     ) -> Result<GraphPlan, MikPolyError> {
         let mut out = GraphPlan::default();
         for (op, count) in ops {
@@ -333,12 +347,14 @@ impl Engine {
                 out.run.degraded += 1;
             }
             out.run.executions += count;
-            out.ops.push(OpPlan {
-                launch: compiler.launch_for(&reply.program),
-                reduction: reply.program.reduction_launch(),
-                count,
-                solo_ns,
-            });
+            if launches {
+                out.ops.push(OpPlan {
+                    launch: compiler.launch_for(&reply.program),
+                    reduction: reply.program.reduction_launch(),
+                    count,
+                    solo_ns,
+                });
+            }
         }
         Ok(out)
     }

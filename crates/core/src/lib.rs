@@ -68,8 +68,8 @@ pub mod serving;
 pub use alloc::{lpt_makespan, makespan, max_min_assign};
 pub use cache::{CacheOutcome, CacheStats, ShardedCache};
 pub use compiler::{
-    shape_key, CompileBudget, CompileGrade, CompileReply, FaultInjection, MikPoly, OnlineOptions,
-    OperatorRun, OracleResult,
+    shape_key, CompileBudget, CompileGrade, CompileReply, FaultInjection, LaunchKey, MikPoly,
+    OnlineOptions, OperatorRun, OracleResult,
 };
 pub use cost::{f_pipe, f_wave, region_cost, CostModelKind};
 pub use engine::{ConvAlgorithm, Engine, EngineRun, GraphPlan, GraphRun, OpPlan};

@@ -1,6 +1,6 @@
 //! Compiled tensor programs: the output of on-the-fly polymerization.
 
-use accel_sim::{Launch, MachineModel, TaskGroup};
+use accel_sim::{Launch, MachineModel, TaskGroup, TaskSpec};
 use tensor_ir::{GemmView, Operator};
 
 use crate::kernel::MicroKernel;
@@ -102,6 +102,41 @@ pub struct SearchStats {
     pub degraded: bool,
 }
 
+/// The split-K reduction pass of a program: the memory-bound launch that
+/// sums `ways` fp32 partial outputs over `tiles` output tiles and writes
+/// the final output once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ReductionGrid {
+    ways: usize,
+    tiles: usize,
+    out_elem_bytes: usize,
+}
+
+impl ReductionGrid {
+    /// Small tiles so even small outputs spread across the machine and
+    /// reach aggregate bandwidth.
+    const TILE: usize = 32;
+
+    fn launch(self) -> Launch {
+        let tile = Self::TILE;
+        // Generic tile accounting: charge `ways` fp32 reads of the tile per
+        // instance via load_scale, plus the final write-back.
+        let load_scale = (self.ways * tile * tile * 4) as f64 / (2 * tile * 2) as f64;
+        let shape = accel_sim::TaskShape {
+            um: tile,
+            un: tile,
+            uk: 1,
+            in_elem_bytes: 2,
+            out_elem_bytes: self.out_elem_bytes,
+            acc_elem_bytes: 4,
+            load_scale,
+            stages: 2,
+            quality: 1.0,
+        };
+        Launch::grid(TaskSpec::new(shape, 2, 1), self.tiles)
+    }
+}
+
 /// An optimized tensor program `S*`: the selected pattern, its regions with
 /// instantiated micro-kernels, and the predicted cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,47 +182,44 @@ impl CompiledProgram {
     /// per task (the reduction launch is separate, see
     /// [`CompiledProgram::reduction_launch`]).
     pub fn launch_dynamic(&self) -> Launch {
-        let k = self.view.shape.k;
-        let ways = self.split_k.max(1);
         Launch::from_groups(
-            self.regions
-                .iter()
-                .map(|r| {
-                    let instances = r.instances(k).div_ceil(ways);
-                    TaskGroup::new(r.kernel.task_spec(&self.view, instances), r.tasks() * ways)
-                })
+            self.task_grids(self.split_k.max(1))
+                .map(|(spec, count)| TaskGroup::new(spec, count))
                 .collect(),
         )
+    }
+
+    /// Each region's task and task count, in region order, with the
+    /// reduction split `ways` ways: every task runs `1/ways` of the
+    /// instances and the grid is replicated `ways` times.
+    pub(crate) fn task_grids(&self, ways: usize) -> impl Iterator<Item = (TaskSpec, usize)> + '_ {
+        let k = self.view.shape.k;
+        self.regions.iter().map(move |r| {
+            let instances = r.instances(k).div_ceil(ways);
+            (r.kernel.task_spec(&self.view, instances), r.tasks() * ways)
+        })
     }
 
     /// The memory-bound launch that sums the `split_k` partial outputs
     /// (reads `split_k` copies of the fp32 partials, writes the final
     /// output); `None` when `split_k == 1`.
     pub fn reduction_launch(&self) -> Option<Launch> {
+        self.reduction_grid().map(ReductionGrid::launch)
+    }
+
+    /// Everything [`CompiledProgram::reduction_launch`] depends on;
+    /// `None` when `split_k == 1`.
+    pub(crate) fn reduction_grid(&self) -> Option<ReductionGrid> {
         let ways = self.split_k.max(1);
         if ways == 1 {
             return None;
         }
         let (m, n) = (self.view.shape.m, self.view.shape.n);
-        // Small tiles so even small outputs spread across the machine and
-        // reach aggregate bandwidth.
-        const TILE: usize = 32;
-        // Generic tile accounting: charge `ways` fp32 reads of the tile per
-        // instance via load_scale, plus the final write-back.
-        let load_scale = (ways * TILE * TILE * 4) as f64 / (2 * TILE * 2) as f64;
-        let shape = accel_sim::TaskShape {
-            um: TILE,
-            un: TILE,
-            uk: 1,
-            in_elem_bytes: 2,
+        Some(ReductionGrid {
+            ways,
+            tiles: m.div_ceil(ReductionGrid::TILE) * n.div_ceil(ReductionGrid::TILE),
             out_elem_bytes: self.view.dtype.bytes(),
-            acc_elem_bytes: 4,
-            load_scale,
-            stages: 2,
-            quality: 1.0,
-        };
-        let count = m.div_ceil(TILE) * n.div_ceil(TILE);
-        Some(Launch::grid(accel_sim::TaskSpec::new(shape, 2, 1), count))
+        })
     }
 
     /// Builds the device launch with a compiler-computed static placement
@@ -203,19 +235,12 @@ impl CompiledProgram {
             self.regions.len(),
             "need one duration estimate per region"
         );
-        let k = self.view.shape.k;
         let counts: Vec<usize> = self.regions.iter().map(Region::tasks).collect();
         let assignments = crate::alloc::max_min_assign(durations, &counts, machine.num_pes);
         Launch::from_groups(
-            self.regions
-                .iter()
+            self.task_grids(1)
                 .zip(assignments)
-                .map(|(r, assignment)| {
-                    TaskGroup::with_assignment(
-                        r.kernel.task_spec(&self.view, r.instances(k)),
-                        assignment,
-                    )
-                })
+                .map(|((spec, _), assignment)| TaskGroup::with_assignment(spec, assignment))
                 .collect(),
         )
     }

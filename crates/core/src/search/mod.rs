@@ -483,10 +483,14 @@ pub fn polymerize_degraded(
     };
     let region = Region::new(0, view.shape.m, 0, view.shape.n, kernels[top].kernel);
 
-    // Cost the plan with the same Eq. 2 evaluator as the full search so
-    // `predicted_ns` stays comparable across grades.
+    // Cost the plan as the full search costs its leaves so `predicted_ns`
+    // stays comparable across grades.
     let eval = CostEval::new(machine, &kernels, &pipe, view, CostModelKind::Full);
-    let predicted_ns = eval.finish(eval.extend(Partial::default(), &region, top));
+    let predicted_ns = if eval.lpt_leaves() {
+        lpt_makespan(&[(pipe[top], region.tasks())], machine.num_pes)
+    } else {
+        eval.finish(eval.extend(Partial::default(), &region, top))
+    };
 
     let stats = SearchStats {
         strategies_evaluated: 1,
@@ -1047,6 +1051,32 @@ mod tests {
                 full.predicted_ns
             );
         }
+    }
+
+    /// On static-placement machines the degraded plan is priced like a
+    /// full-search leaf: by the LPT makespan of its one region's tasks,
+    /// not by the fractional `max(work / |P|, d_max)` bound.
+    #[test]
+    fn degraded_plans_are_priced_by_lpt_makespan_on_the_npu() {
+        let m = MachineModel::ascend910a();
+        let mut o = OfflineOptions::fast();
+        o.n_gen = 4;
+        let lib = MicroKernelLibrary::generate(&m, &o);
+        let op = Operator::gemm(GemmShape::new(135, 768, 768));
+        let prog = polymerize_degraded(&m, &lib, &op.gemm_view(), op).expect("degraded plan");
+        let region = prog.regions[0];
+        let task_ns = lib
+            .get(region.kernel.id)
+            .expect("a library kernel")
+            .perf
+            .predict(region.instances(768));
+        let makespan = lpt_makespan(&[(task_ns, region.tasks())], m.num_pes);
+        assert_eq!(prog.predicted_ns.to_bits(), makespan.to_bits());
+        assert!(
+            (prog.predicted_ns - 6_785.7).abs() < 1.0,
+            "{}",
+            prog.predicted_ns
+        );
     }
 
     /// Escalation rounds are visible in the stats and bounded by the

@@ -383,7 +383,8 @@ impl ServingRuntime {
     /// The parallel compile phase for one admitted request under the serve
     /// call's fault context: breaker check, panic-isolated full compile
     /// under the budget, degraded fallback, and the deterministic
-    /// device-fault retry schedule.
+    /// device-fault retry schedule. Only the batched policy co-launches,
+    /// so only its plans carry per-op launches.
     fn compile_request(
         &self,
         request: &Request,
@@ -404,8 +405,11 @@ impl ServingRuntime {
         };
         let run = |budget: CompileBudget| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.engine
-                    .try_plan_graph(request.ops.iter().map(|(op, count)| (op, *count)), budget)
+                self.engine.plan_graph(
+                    request.ops.iter().map(|(op, count)| (op, *count)),
+                    budget,
+                    self.options.batching.is_some(),
+                )
             }))
         };
         // Breaker transitions are recorded onto the request's chain: a
@@ -637,8 +641,8 @@ impl ServingRuntime {
     /// outcome, or the reason the request was shed uncompiled (a drain
     /// point it arrived past, then a deadline already passed at arrival).
     /// The solo policy (`batched` false) bounds the cursor's lookahead to
-    /// the worker count and drops each plan's per-op launches. Every
-    /// compile runs under the serve call's fault context `faults`.
+    /// the worker count. Every compile runs under the serve call's fault
+    /// context `faults`.
     fn compile_phase(
         &self,
         ordered: &[&Request],
@@ -654,7 +658,7 @@ impl ServingRuntime {
                     scope.spawn(move || {
                         let mut slots = Vec::new();
                         while let Some(taken) = cursor.take() {
-                            let slot = self.admit(ordered[taken.index], batched, faults);
+                            let slot = self.admit(ordered[taken.index], faults);
                             slots.push((taken.index, slot));
                         }
                         slots
@@ -677,12 +681,10 @@ impl ServingRuntime {
     }
 
     /// One request's phase-A slot: its pre-admission shed reason, or its
-    /// compile outcome. The solo policy never reads the per-op launches,
-    /// so they are dropped at once rather than held for the whole stream.
+    /// compile outcome.
     fn admit(
         &self,
         request: &Request,
-        batched: bool,
         faults: Option<&FaultInjection>,
     ) -> Result<CompileOutcome, ShedReason> {
         if self.lifecycle.draining_at(request.arrival_ns) {
@@ -691,13 +693,7 @@ impl ServingRuntime {
         if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns) {
             return Err(ShedReason::DeadlineAtEnqueue);
         }
-        let mut outcome = self.compile_request(request, faults);
-        if !batched {
-            if let Some(plan) = &mut outcome.plan {
-                plan.ops = Vec::new();
-            }
-        }
-        Ok(outcome)
+        Ok(self.compile_request(request, faults))
     }
 
     /// The batched policy's device placement: shape-bucket formation over

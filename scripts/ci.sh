@@ -161,55 +161,37 @@ fi
 echo "==> cargo test (perfbench)"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-# Benchmark smoke: one second of the cold-gpu workload, where nearly
-# every lookup fills a bounded program cache that evicts. perfbench
-# checks every program it reads back from the cache (coverage, plus
-# execution against the reference GEMM) and reports the verdict as
-# "correct" on its last stdout line, so a cache change that serves an
-# evicted or uncovered program fails here.
-echo "==> perfbench smoke: cold-gpu, 1 s"
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload cold-gpu --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench.txt"
-tail -n 1 "$smoke_dir/perfbench.txt" | grep -q '"correct": true' || {
-  echo "error: perfbench cold-gpu smoke did not report \"correct\": true" >&2
-  tail -n 2 "$smoke_dir/perfbench.txt" >&2
-  exit 1
+# Benchmark smokes: one second of each workload. perfbench checks every
+# program it reads back from the cache (coverage, plus execution against
+# the reference GEMM) and reports the verdict as "correct" on its last
+# stdout line, next to the count of operations that failed. A smoke
+# passes only with "correct": true and "failed": 0.
+perfbench_smoke() {
+  local workload="$1" out="$smoke_dir/perfbench-$1.txt"
+  echo "==> perfbench smoke: $workload, 1 s"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$out"
+  if ! tail -n 1 "$out" | grep -q '"correct": true' \
+    || ! tail -n 1 "$out" | grep -Eq '"failed": 0[,}]'; then
+    echo "error: perfbench $workload smoke did not report \"correct\": true and \"failed\": 0" >&2
+    tail -n 2 "$out" >&2
+    exit 1
+  fi
 }
 
-# The same smoke on cold-npu: the only workload whose compiles reach the
-# deep patterns (III-IX), the max-min allocator and static-allocation
-# simulation behind try_polymerize.
-echo "==> perfbench smoke: cold-npu, 1 s"
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload cold-npu --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench-npu.txt"
-tail -n 1 "$smoke_dir/perfbench-npu.txt" | grep -q '"correct": true' || {
-  echo "error: perfbench cold-npu smoke did not report \"correct\": true" >&2
-  tail -n 2 "$smoke_dir/perfbench-npu.txt" >&2
-  exit 1
-}
-
-# The same smoke on burst-batched, which serves through the batched
-# placement policy (cold-gpu above runs solo), so both dispatch policies
-# are checked end to end.
-echo "==> perfbench smoke: burst-batched, 1 s"
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload burst-batched --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench-batched.txt"
-tail -n 1 "$smoke_dir/perfbench-batched.txt" | grep -q '"correct": true' || {
-  echo "error: perfbench burst-batched smoke did not report \"correct\": true" >&2
-  tail -n 2 "$smoke_dir/perfbench-batched.txt" >&2
-  exit 1
-}
-
-# The same smoke on warm-bert, where every lookup hits a warm cache and
-# each operator's device time comes from its cache slot's memo: the
-# all-hit path the other two smokes barely reach.
-echo "==> perfbench smoke: warm-bert, 1 s"
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload warm-bert --seed 1 --seconds 1 --trace 0 > "$smoke_dir/perfbench-warm.txt"
-tail -n 1 "$smoke_dir/perfbench-warm.txt" | grep -q '"correct": true' || {
-  echo "error: perfbench warm-bert smoke did not report \"correct\": true" >&2
-  tail -n 2 "$smoke_dir/perfbench-warm.txt" >&2
-  exit 1
-}
+# cold-gpu: nearly every lookup fills a bounded program cache that
+# evicts, so a cache change that serves an evicted or uncovered program
+# fails here.
+perfbench_smoke cold-gpu
+# cold-npu: the only workload whose compiles reach the deep patterns
+# (III-IX), the max-min allocator and static-allocation simulation.
+perfbench_smoke cold-npu
+# burst-batched: the batched placement policy (cold-gpu runs solo), so
+# both dispatch policies are checked end to end.
+perfbench_smoke burst-batched
+# warm-bert: every lookup hits a warm cache and each operator's device
+# time comes from its cache slot: the all-hit path the others barely
+# reach.
+perfbench_smoke warm-bert
 
 echo "CI green."
