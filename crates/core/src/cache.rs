@@ -35,7 +35,10 @@
 //! that was hit while resident is promoted to a protected queue at its
 //! first eviction scan (and given halved-frequency second chances there),
 //! while unreferenced entries are evicted in insertion order. Hot shapes
-//! therefore survive a churning tail instead of being FIFO-thrashed.
+//! therefore survive a churning tail instead of being FIFO-thrashed. The
+//! protected queue is capped below the capacity (a fifth of it, at least
+//! one slot, is left to probation), so a new fill outlives its own insert
+//! even when every other resident entry has been hit.
 //! Queue records carry a per-fill stamp, so a removed or re-inserted key
 //! leaves only a *stale* record that is skipped (never evicting the new
 //! incarnation) and periodically compacted away — the order state is
@@ -704,22 +707,29 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// The segmented-LRU eviction scan. Victims come from the probation
     /// queue first (insertion order); an entry that was hit while
     /// resident is promoted to the protected queue on its first scan
-    /// instead of dying, and protected entries earn halved-frequency
-    /// second chances. The scan budget (one full pass over the order
-    /// records) guarantees termination even when everything is hot: once
-    /// it runs out, the next live record is evicted regardless.
+    /// instead of dying. The protected queue is capped below `capacity`,
+    /// so a fresh fill is never the only record left to evict: once a
+    /// promotion puts it over its cap, its oldest record is scanned next,
+    /// evicted if not hit since its promotion, else given a
+    /// halved-frequency second chance. The scan budget (one full pass
+    /// over the order records) guarantees termination even when
+    /// everything is hot: once it runs out, the next live record is
+    /// evicted regardless.
     fn evict_to_capacity(&self, ev: &mut EvictionState<K>, capacity: usize) {
+        let protected_cap = capacity - (capacity / 5).max(1);
         let mut budget = ev.order_len();
         while self.counters.ready.load(Ordering::Relaxed) > capacity {
             let forced = budget == 0;
-            let (record, from_probation) = if let Some(r) = ev.probation.pop_front() {
-                (r, true)
-            } else if let Some(r) = ev.protected.pop_front() {
-                (r, false)
+            let from_probation = ev.protected.len() <= protected_cap;
+            let queue = if from_probation {
+                &mut ev.probation
             } else {
-                // Entries committed but not yet registered (a racing
-                // fill) can leave `ready` transiently above the bound;
-                // their own registration will re-run this scan.
+                &mut ev.protected
+            };
+            // Entries committed but not yet registered (a racing fill) can
+            // leave `ready` transiently above the bound with probation
+            // empty; their own registration will re-run this scan.
+            let Some(record) = queue.pop_front() else {
                 break;
             };
             budget = budget.saturating_sub(1);
@@ -1130,6 +1140,29 @@ mod tests {
             cache.get(&1000).is_some(),
             "hot key must survive 64 cold inserts at capacity 4"
         );
+        assert_eq!(cache.len(), 4);
+        cache.check_invariants().expect("invariants");
+    }
+
+    #[test]
+    fn a_fresh_fill_survives_a_fully_hit_cache() {
+        // Once every resident entry has been hit, an uncapped protected
+        // segment left each new fill the only probation record, evicted
+        // inside its own insert. The protected cap keeps a probation slot.
+        let cache: ShardedCache<u64, u64> = ShardedCache::bounded(4);
+        for k in 0..4 {
+            cache.insert(k, Arc::new(k));
+        }
+        for k in 0..4 {
+            assert!(cache.get(&k).is_some());
+        }
+        for k in 100..105 {
+            cache.insert(k, Arc::new(k));
+            assert!(
+                cache.get(&k).is_some(),
+                "fill {k} evicted by its own insert"
+            );
+        }
         assert_eq!(cache.len(), 4);
         cache.check_invariants().expect("invariants");
     }

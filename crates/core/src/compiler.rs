@@ -35,6 +35,7 @@ use crate::offline::{MicroKernelLibrary, OfflineOptions};
 use crate::pattern::{default_patterns, Pattern};
 use crate::plan::{CompiledProgram, ReductionGrid, Region, SearchStats};
 use crate::search::{polymerize_degraded, try_polymerize, SearchPolicy};
+use crate::serving::colaunch::repeat_launch;
 
 /// Options of the online (polymerization) stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -290,10 +291,10 @@ pub struct MikPoly {
     /// degraded plan must never shadow (or be shadowed by) the full
     /// search's plan for the same shape.
     degraded: ShardedCache<Operator, CachedProgram>,
-    /// Simulated device time per distinct launch, behind the program
-    /// cache slots: a slot's first read simulates only a launch no other
-    /// program has produced. Bounded like the program cache.
-    launch_memo: ShardedCache<LaunchKey, f64>,
+    /// Simulated device time per distinct launch and wave width k (k = 1
+    /// is solo, behind the program-cache slots; k > 1 times co-launched
+    /// waves). Bounded like the program cache.
+    launch_memo: ShardedCache<(LaunchKey, usize), f64>,
     telemetry: Arc<Telemetry>,
 }
 
@@ -308,6 +309,16 @@ pub struct LaunchKey {
     reduction: Option<ReductionGrid>,
 }
 
+impl LaunchKey {
+    /// [`crate::serving::colaunch::warp_slots`] of the launch, from its grids.
+    pub(crate) fn warp_slots(&self) -> u64 {
+        self.grids
+            .iter()
+            .map(|g| g.count as u64 * g.task[GridKey::WARPS])
+            .sum()
+    }
+}
+
 /// One region's task grid: its task (the [`TaskShape`] fields, `f64`s as
 /// bits, then warps and instances) and task count, plus, under
 /// static placement, the predicted task duration the max-min allocator
@@ -320,6 +331,9 @@ struct GridKey {
 }
 
 impl GridKey {
+    /// The index of the task's warps in `task`.
+    const WARPS: usize = 9;
+
     fn new(spec: &TaskSpec, count: usize, task_ns: Option<f64>) -> Self {
         // Exhaustive destructuring: a new task field must join the key.
         let TaskSpec {
@@ -1056,9 +1070,8 @@ impl MikPoly {
     }
 
     /// Simulated device time of a reply's program, ns: read from its cache
-    /// slot, or on the slot's first read from the launch memo, which
-    /// simulates each distinct launch once. Bit-identical to
-    /// `self.simulate(&reply.program).time_ns`.
+    /// slot, or on the slot's first read from the launch memo's solo
+    /// (k = 1) entry. Bit-identical to `self.simulate(&reply.program).time_ns`.
     ///
     /// # Errors
     ///
@@ -1068,12 +1081,34 @@ impl MikPoly {
         if let Some(&ns) = reply.slot.device_ns.get() {
             return Ok(ns);
         }
-        let (ns, _) = self
-            .launch_memo
-            .try_get_or_compute(&self.launch_key(&reply.program), || {
-                self.try_simulate(&reply.program).map(|r| r.time_ns)
-            })?;
-        Ok(*reply.slot.device_ns.get_or_init(|| *ns))
+        let ns = self.try_wave_ns(&reply.program, 1)?;
+        Ok(*reply.slot.device_ns.get_or_init(|| ns))
+    }
+
+    /// Simulated device time of `k` co-launched copies of the program, ns:
+    /// its launch merged k times, then its split-K reduction merged k
+    /// times. Read from the launch memo, which simulates each distinct
+    /// `(launch, k)` once.
+    ///
+    /// # Errors
+    ///
+    /// [`MikPolyError::MalformedLaunch`] when the simulator rejects the
+    /// merged launch; a rejected launch is not memoized.
+    pub(crate) fn try_wave_ns(
+        &self,
+        program: &CompiledProgram,
+        k: usize,
+    ) -> Result<f64, MikPolyError> {
+        let simulate = || {
+            let copies = |launch: &Launch| repeat_launch(launch, k);
+            let mut sequence = vec![copies(&self.launch_for(program))];
+            sequence.extend(program.reduction_launch().as_ref().map(copies));
+            accel_sim::try_simulate_launches(&self.machine, &sequence, TimingMode::Evaluate)
+                .map(|report| report.time_ns)
+                .map_err(|source| MikPolyError::MalformedLaunch { source })
+        };
+        let key = (self.launch_key(program), k);
+        Ok(*self.launch_memo.try_get_or_compute(&key, simulate)?.0)
     }
 
     /// The Oracle of Fig. 12(b): exhaustively simulates every strategy and

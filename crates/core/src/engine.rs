@@ -22,6 +22,7 @@ use crate::compiler::{CompileBudget, CompileGrade, MikPoly, OperatorRun};
 use crate::error::MikPolyError;
 use crate::offline::OfflineOptions;
 use crate::offline::TemplateKind;
+use crate::plan::CompiledProgram;
 
 /// How the engine chooses a convolution algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -108,6 +109,14 @@ pub struct GraphPlan {
     pub run: GraphRun,
     /// Per-operator launches, in graph order.
     pub ops: Vec<OpPlan>,
+}
+
+/// A [`GraphPlan`] as serving keeps it: each operator's program, graph
+/// weight and solo device time instead of its launches.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ServedPlan {
+    pub(crate) run: GraphRun,
+    ops: Vec<(Arc<CompiledProgram>, usize, f64)>,
 }
 
 /// A dynamic-shape inference engine: per-template MikPoly compilers plus
@@ -285,7 +294,7 @@ impl Engine {
     /// Runs a weighted operator list (one forward pass): each `(operator,
     /// count)` pair executes `count` times, compiled once.
     pub fn run_graph<'a>(&self, ops: impl IntoIterator<Item = (&'a Operator, usize)>) -> GraphRun {
-        match self.try_plan_graph(ops, CompileBudget::default()) {
+        match self.plan_graph(ops, CompileBudget::default()) {
             Ok(plan) => plan.run,
             // With no deadline and no fault plan every failure is the
             // logic bug the infallible contract documents as a panic.
@@ -293,16 +302,13 @@ impl Engine {
         }
     }
 
-    /// Budgeted [`Engine::run_graph`] that also retains each operator's
-    /// device launches so the caller can co-launch the request with
-    /// others (see [`crate::serving::colaunch`]). Every operator's compile
-    /// shares the one `budget`: the per-request deadline bounds the whole
-    /// request, not each operator separately, and one fault context
-    /// serves the whole call. This is the serving path: each operator's
-    /// device time is read through its program-cache slot from the
-    /// compiler's launch memo, where it is simulated once per distinct
-    /// launch, on the first read after the compile was timed — so it is
-    /// never charged as compile time.
+    /// Budgeted [`Engine::run_graph`] that also returns each operator's
+    /// device launches (see [`crate::serving::colaunch`]). Every
+    /// operator's compile shares the one `budget`: the per-request
+    /// deadline bounds the whole request, and one fault context serves
+    /// the whole call. Each operator's device time is read through its
+    /// program-cache slot from the compiler's launch memo, after the
+    /// compile was timed, so it is never charged as compile time.
     ///
     /// # Errors
     ///
@@ -314,20 +320,29 @@ impl Engine {
         ops: impl IntoIterator<Item = (&'a Operator, usize)>,
         budget: CompileBudget<'_>,
     ) -> Result<GraphPlan, MikPolyError> {
-        self.plan_graph(ops, budget, true)
+        let plan = self.plan_graph(ops, budget)?;
+        let ops = plan
+            .ops
+            .iter()
+            .map(|(program, count, solo_ns)| OpPlan {
+                launch: self.launch_for(program),
+                reduction: program.reduction_launch(),
+                count: *count,
+                solo_ns: *solo_ns,
+            })
+            .collect();
+        Ok(GraphPlan { run: plan.run, ops })
     }
 
-    /// [`Engine::try_plan_graph`], building each operator's launches only
-    /// when `launches` is set; without them `ops` stays empty (solo
-    /// dispatch reads only the aggregate run, and on static-placement
-    /// machines a launch costs a max-min allocation).
+    /// [`Engine::try_plan_graph`] without building launches: the serving
+    /// path, where on static-placement machines a launch costs a max-min
+    /// allocation.
     pub(crate) fn plan_graph<'a>(
         &self,
         ops: impl IntoIterator<Item = (&'a Operator, usize)>,
         budget: CompileBudget<'_>,
-        launches: bool,
-    ) -> Result<GraphPlan, MikPolyError> {
-        let mut out = GraphPlan::default();
+    ) -> Result<ServedPlan, MikPolyError> {
+        let mut out = ServedPlan::default();
         for (op, count) in ops {
             let dispatched = self.try_select(op, budget)?;
             let compiler = self.compiler_for(&dispatched);
@@ -347,27 +362,43 @@ impl Engine {
                 out.run.degraded += 1;
             }
             out.run.executions += count;
-            if launches {
-                out.ops.push(OpPlan {
-                    launch: compiler.launch_for(&reply.program),
-                    reduction: reply.program.reduction_launch(),
-                    count,
-                    solo_ns,
-                });
-            }
+            out.ops.push((reply.program, count, solo_ns));
         }
         Ok(out)
+    }
+
+    /// A wave member's warp demand: the widest of its operators' launches
+    /// (they run one after another), read off their launch keys.
+    pub(crate) fn wave_demand(&self, plan: &ServedPlan) -> u64 {
+        let key = |p: &CompiledProgram| self.compiler_for(&p.operator).launch_key(p);
+        let demands = plan.ops.iter().map(|(p, ..)| key(p).warp_slots());
+        demands.max().unwrap_or(0)
+    }
+
+    /// Device time of a wave of `k` members each running `plan`, ns, as
+    /// [`crate::serving::colaunch::wave_device_ns`] times it, bit for bit,
+    /// but from the launch memo. A rejected merged launch costs `k` solo runs.
+    pub(crate) fn wave_device_ns(&self, plan: &ServedPlan, k: usize) -> f64 {
+        let mut total = 0.0;
+        for (program, count, solo_ns) in &plan.ops {
+            let compiler = self.compiler_for(&program.operator);
+            let merged_ns = compiler
+                .try_wave_ns(program, k)
+                .unwrap_or(solo_ns * k as f64);
+            total += merged_ns * *count as f64;
+        }
+        total
     }
 
     /// The device launch for a compiled program, routed through the
     /// template compiler that owns its placement policy (mirrors
     /// [`Engine::simulate`]).
-    pub fn launch_for(&self, program: &crate::plan::CompiledProgram) -> accel_sim::Launch {
+    pub fn launch_for(&self, program: &CompiledProgram) -> accel_sim::Launch {
         self.compiler_for(&program.operator).launch_for(program)
     }
 
     /// Simulates a previously compiled program on this engine's machine.
-    pub fn simulate(&self, program: &crate::plan::CompiledProgram) -> SimReport {
+    pub fn simulate(&self, program: &CompiledProgram) -> SimReport {
         self.compiler_for(&program.operator).simulate(program)
     }
 
@@ -1045,6 +1076,51 @@ mod memo_tests {
                 assert_eq!(plan.run.device_ns.to_bits(), before.run.device_ns.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn wave_memo_matches_the_colaunch_reference() {
+        use crate::serving::colaunch::{warp_slots, wave_device_ns};
+        for machine in machines() {
+            let engine = engine(&machine, &library(&machine), OnlineOptions::default());
+            let [a, b] = ops();
+            let graph = [(&a, 1), (&b, 2)];
+            let plan = engine
+                .try_plan_graph(graph, CompileBudget::default())
+                .expect("plan compiles");
+            let served = engine
+                .plan_graph(graph, CompileBudget::default())
+                .expect("replan hits");
+            for (op, (program, ..)) in plan.ops.iter().zip(&served.ops) {
+                let key = engine.compiler_for(&program.operator).launch_key(program);
+                assert_eq!(key.warp_slots(), warp_slots(&op.launch), "{}", machine.name);
+            }
+            let widest = plan.ops.iter().map(|op| warp_slots(&op.launch)).max();
+            assert_eq!(Some(engine.wave_demand(&served)), widest);
+            for k in 1..=8 {
+                // Twice: the first read simulates, the second reads the memo.
+                for _ in 0..2 {
+                    let memo = engine.wave_device_ns(&served, k);
+                    let fresh = wave_device_ns(&machine, &plan.ops, k);
+                    assert_eq!(memo.to_bits(), fresh.to_bits(), "{} k={k}", machine.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_wave_costs_k_solo_runs_and_is_not_memoized() {
+        let machine = MachineModel::a100();
+        let engine = engine(&machine, &library(&machine), OnlineOptions::default());
+        let mut program = (*engine.gemm_compiler().compile(&ops()[0])).clone();
+        program.regions[0].kernel.warps = machine.warp_cap_per_pe + 1;
+        let plan = ServedPlan {
+            run: GraphRun::default(),
+            ops: vec![(Arc::new(program), 2, 1000.0)],
+        };
+        assert_eq!(engine.wave_device_ns(&plan, 3), 2.0 * 3.0 * 1000.0);
+        let memo = engine.gemm_compiler().launch_memo_stats();
+        assert_eq!((memo.misses, memo.computations, memo.entries), (1, 0, 0));
     }
 
     #[test]

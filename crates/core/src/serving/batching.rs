@@ -76,8 +76,6 @@ pub(crate) struct ReadyEvent {
 /// planner at one virtual instant.
 #[derive(Debug, Clone)]
 pub(crate) struct BucketFlush {
-    /// Shape-bucket key shared by every member.
-    pub(crate) shape_key: u64,
     /// Virtual instant the bucket flushed (its earliest dispatch time).
     pub(crate) flush_ns: f64,
     /// Member indices into the pending-execution table, in ready order.
@@ -101,9 +99,8 @@ pub(crate) fn form_batches(events: &[ReadyEvent], options: BatchingOptions) -> V
     }
     let mut open: Vec<(u64, Open)> = Vec::new();
     let mut flushes: Vec<BucketFlush> = Vec::new();
-    let mut flush = |key: u64, bucket: Open, at: f64| {
+    let mut flush = |bucket: Open, at: f64| {
         flushes.push(BucketFlush {
-            shape_key: key,
             flush_ns: at,
             members: bucket.members,
         });
@@ -116,8 +113,8 @@ pub(crate) fn form_batches(events: &[ReadyEvent], options: BatchingOptions) -> V
             let close = open[i].1.open_ns + options.window_ns;
             if close <= event.ready_ns && !(close == event.ready_ns && open[i].0 == event.shape_key)
             {
-                let (key, bucket) = open.remove(i);
-                flush(key, bucket, close);
+                let (_, bucket) = open.remove(i);
+                flush(bucket, close);
             } else {
                 i += 1;
             }
@@ -137,14 +134,14 @@ pub(crate) fn form_batches(events: &[ReadyEvent], options: BatchingOptions) -> V
             .iter()
             .position(|(key, b)| *key == event.shape_key && b.members.len() >= options.max_batch)
         {
-            let (key, bucket) = open.remove(at);
-            flush(key, bucket, event.ready_ns);
+            let (_, bucket) = open.remove(at);
+            flush(bucket, event.ready_ns);
         }
     }
     // The stream is closed: remaining buckets wait out their window.
-    for (key, bucket) in open {
+    for (_, bucket) in open {
         let close = bucket.open_ns + options.window_ns;
-        flush(key, bucket, close);
+        flush(bucket, close);
     }
     flushes.sort_by(|a, b| {
         f64::total_cmp(&a.flush_ns, &b.flush_ns).then(a.members.first().cmp(&b.members.first()))
@@ -197,9 +194,9 @@ mod tests {
         let events = vec![ev(0, 0.0, 7), ev(1, 1.0, 8), ev(2, 2.0, 7)];
         let flushes = form_batches(&events, options);
         assert_eq!(flushes.len(), 2);
-        let of_seven = flushes.iter().find(|f| f.shape_key == 7).unwrap();
+        let of_seven = flushes.iter().find(|f| f.members[0] == 0).unwrap();
         assert_eq!(of_seven.members, vec![0, 2]);
-        let of_eight = flushes.iter().find(|f| f.shape_key == 8).unwrap();
+        let of_eight = flushes.iter().find(|f| f.members[0] == 1).unwrap();
         assert_eq!(of_eight.members, vec![1]);
     }
 

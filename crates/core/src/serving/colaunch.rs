@@ -17,6 +17,12 @@
 //! joins the first wave with room, or opens a new one. A member whose
 //! lone demand already exceeds capacity still gets a singleton wave —
 //! the simulator time-multiplexes it, exactly as solo execution would.
+//!
+//! The serving dispatcher builds no launches: it reads a member's demand
+//! off its programs' launch keys and a wave's time from the compiler's
+//! launch memo, which keeps one simulated time per `(launch, k)` for k
+//! merged copies ([`repeat_launch`]). [`wave_device_ns`] is the
+//! un-memoized reference that memo must equal, bit for bit.
 
 use accel_sim::{try_simulate_launches, Launch, MachineModel, TimingMode};
 
@@ -35,16 +41,6 @@ pub fn warp_slots(launch: &Launch) -> u64 {
 /// The machine's total warp slots: PEs times per-PE warp capacity.
 pub fn warp_capacity(machine: &MachineModel) -> u64 {
     (machine.num_pes * machine.warp_cap_per_pe) as u64
-}
-
-/// A compiled request's resident-warp demand: the widest of its
-/// operators' launches (ops run sequentially, so the widest bounds the
-/// concurrent footprint).
-pub fn plan_demand(ops: &[OpPlan]) -> u64 {
-    ops.iter()
-        .map(|op| warp_slots(&op.launch))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Packs members (given by their warp demands) into waves such that no
@@ -88,12 +84,12 @@ pub fn repeat_launch(launch: &Launch, count: usize) -> Launch {
 }
 
 /// Simulated device time of a wave of `count` identical members, each
-/// executing `ops`: per operator, the members' launches merge into one
-/// wave launch (split-K reductions likewise merge and chain after it, as
-/// on the solo path), and operators run sequentially with their graph
-/// weights. Falls back to `count` solo executions if the simulator
-/// rejects a merged launch, so a malformed wave can never do better than
-/// solo — or panic the dispatcher.
+/// executing `ops`, simulated afresh: per operator, the members' launches
+/// merge into one wave launch (split-K reductions likewise merge and
+/// chain after it, as on the solo path), and operators run sequentially
+/// with their graph weights. Falls back to `count` solo executions if
+/// the simulator rejects a merged launch, so a malformed wave can never
+/// do better than solo — or panic the dispatcher.
 pub fn wave_device_ns(machine: &MachineModel, ops: &[OpPlan], count: usize) -> f64 {
     let mut total = 0.0;
     for op in ops {

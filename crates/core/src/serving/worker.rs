@@ -25,12 +25,14 @@
 //!   * **Batched**: the worker is released at compile-done; ready
 //!     requests enter shape buckets ([`super::batching`]) and flushed
 //!     buckets are packed into co-launch waves ([`super::colaunch`]) that
-//!     share one device launch, timed once per `(shape, wave size)`.
+//!     share one device launch. A wave of k members costs each operator's
+//!     time for k merged copies of its launch, read from the compiler's
+//!     launch memo, which simulates each `(launch, k)` once across serve
+//!     calls.
 //!
 //! Real compile work overlaps across OS threads, but one thread replays
 //! the timeline, so it never depends on OS scheduling.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 
 use super::admission::{FairMeter, TenantPolicy, WaitQueue};
 use super::batching::{form_batches, BatchingOptions, ReadyEvent};
-use super::colaunch::{plan_demand, plan_waves, warp_capacity, wave_device_ns};
+use super::colaunch::{plan_waves, warp_capacity};
 use super::lifecycle::{drained_count, DrainReport, Lifecycle};
 use super::report::{
     describe_serving_metrics, emit_request_telemetry, EmitContext, ServingReport, WorkerStats,
@@ -50,7 +52,7 @@ use super::request::{
     request_shape_key, shed_record, Disposition, Request, RequestRecord, ShedReason, NO_SLOT,
 };
 use crate::compiler::{CompileBudget, FaultInjection};
-use crate::engine::{Engine, GraphPlan};
+use crate::engine::{Engine, ServedPlan};
 use crate::resilience::{BreakerDecision, BreakerPolicy, CircuitBreaker, RetryPolicy};
 
 /// Fault-tolerance and dispatch policy for one [`ServingRuntime`]. The
@@ -89,9 +91,8 @@ pub struct ServingOptions {
 /// What phase A's compile produced for one admitted request.
 struct CompileOutcome {
     /// The compiled forward pass; `None` when both the full path and the
-    /// degraded fallback failed. Its per-op launches are kept only under
-    /// the batched policy, which co-launches them.
-    plan: Option<GraphPlan>,
+    /// degraded fallback failed.
+    plan: Option<ServedPlan>,
     /// Real wall-clock of the compile phase, ns: the graph's own
     /// measurement, plus the failed attempt's window when the fallback
     /// ran. Device simulation is never charged here; when both attempts
@@ -116,7 +117,7 @@ struct Pending<'a> {
     start_ns: f64,
     ready_ns: f64,
     compile: ClockNs,
-    plan: GraphPlan,
+    plan: ServedPlan,
     retries: u32,
     device_failed: bool,
     /// Virtual device time across every attempt and backoff, ns.
@@ -383,8 +384,7 @@ impl ServingRuntime {
     /// The parallel compile phase for one admitted request under the serve
     /// call's fault context: breaker check, panic-isolated full compile
     /// under the budget, degraded fallback, and the deterministic
-    /// device-fault retry schedule. Only the batched policy co-launches,
-    /// so only its plans carry per-op launches.
+    /// device-fault retry schedule.
     fn compile_request(
         &self,
         request: &Request,
@@ -405,11 +405,8 @@ impl ServingRuntime {
         };
         let run = |budget: CompileBudget| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.engine.plan_graph(
-                    request.ops.iter().map(|(op, count)| (op, *count)),
-                    budget,
-                    self.options.batching.is_some(),
-                )
+                self.engine
+                    .plan_graph(request.ops.iter().map(|(op, count)| (op, *count)), budget)
             }))
         };
         // Breaker transitions are recorded onto the request's chain: a
@@ -699,8 +696,8 @@ impl ServingRuntime {
     /// The batched policy's device placement: shape-bucket formation over
     /// compile-ready events, then co-launch waves onto the device pool in
     /// flush order. Bucket members run identical programs, so a wave of
-    /// k members is k merged copies of one launch sequence; its simulated
-    /// duration is cached per (shape, k).
+    /// k members is k merged copies of one launch sequence; its duration
+    /// is [`Engine::wave_device_ns`], from the compiler's launch memo.
     fn launch_waves(
         &self,
         pending: &[Pending<'_>],
@@ -722,20 +719,18 @@ impl ServingRuntime {
         let policy = self.options.tenancy.clone().unwrap_or_default();
         let capacity = warp_capacity(&self.cluster.machine);
         let mut meter = FairMeter::new();
-        let mut wave_cache: HashMap<(u64, usize), f64> = HashMap::new();
         for flush in form_batches(&events, batching) {
             let mut members = flush.members;
             meter.order_by_fairness(&policy, &mut members, |index| pending[index].request.tenant);
             let demands: Vec<u64> = members
                 .iter()
-                .map(|&index| plan_demand(&pending[index].plan.ops))
+                .map(|&index| self.engine.wave_demand(&pending[index].plan))
                 .collect();
             for wave in plan_waves(&demands, capacity) {
                 let k = wave.len();
-                let lead = &pending[members[wave[0]]];
-                let wave_ns = *wave_cache
-                    .entry((flush.shape_key, k))
-                    .or_insert_with(|| wave_device_ns(&self.cluster.machine, &lead.plan.ops, k));
+                let wave_ns = self
+                    .engine
+                    .wave_device_ns(&pending[members[wave[0]]].plan, k);
                 let (device, device_free) = earliest_free(device_pool);
                 let wave_start = flush.flush_ns.max(device_free) + records.dispatch_ns;
                 device_pool[device] = wave_start + wave_ns;
@@ -1329,6 +1324,39 @@ mod tests {
             solo.makespan_ns
         );
         assert!(batched.mean_batch_size() > 1.0);
+    }
+
+    #[test]
+    fn wave_times_are_simulated_once_across_serve_calls() {
+        // The launch memo keeps every wave width it has timed, so a
+        // second serve of the same burst simulates nothing. The window is
+        // far longer than any compile, so buckets flush only when full and
+        // both serves form the same waves whatever the host's timing.
+        let mut offline = OfflineOptions::fast();
+        offline.n_gen = 4;
+        for machine in [MachineModel::a100(), MachineModel::ascend910a()] {
+            let engine = Arc::new(Engine::offline(machine, &offline));
+            let runtime = ServingRuntime::new(Arc::clone(&engine), local_cluster(&engine), 4)
+                .with_options(ServingOptions {
+                    batching: Some(BatchingOptions::new(1e9, 8)),
+                    ..ServingOptions::default()
+                });
+            let op = Operator::gemm(GemmShape::new(64, 64, 64));
+            let requests: Vec<Request> =
+                (0..24).map(|i| Request::single(i, i as f64, op)).collect();
+            let first = runtime.serve(&requests);
+            let name = &engine.machine().name;
+            assert!(first.mean_batch_size() > 1.0, "{name}: no waves formed");
+            let memo = engine.gemm_compiler().launch_memo_stats();
+            // One program: one solo entry, and one per wider wave.
+            assert!(memo.entries > 1, "{name}: no wave memoized: {memo:?}");
+            let second = runtime.serve(&requests);
+            let again = engine.gemm_compiler().launch_memo_stats();
+            assert_eq!(again.computations, memo.computations, "{name}: {again:?}");
+            for (a, b) in first.records.iter().zip(&second.records) {
+                assert_eq!(a.device_ns.to_bits(), b.device_ns.to_bits(), "{b:?}");
+            }
+        }
     }
 
     #[test]

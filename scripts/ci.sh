@@ -97,6 +97,10 @@ echo "==> sim-throughput gate (event core >= 10x reference, floor 14M tasks/s, p
 # gated ratios are the same regime CI measures on full runs.
 echo "==> batch-serving gate (batched >= solo under overload + tenant isolation)"
 ./target/release/experiments --quick batch-serving
+# The batched timelines are virtual and served from a warm cache, so the
+# quick run reproduces the committed files byte for byte; a diff means a
+# change to batched device time or placement.
+git diff --exit-code -- results/batch-serving.json results/batch-serving.csv
 
 # Conformance: a bounded differential-fuzz smoke (fixed seed, well under
 # 30 s in release) that replays the regression corpus first, then the

@@ -14,7 +14,8 @@ use std::sync::Arc;
 
 use mikpoly_suite::accel_sim::{Launch, MachineModel};
 use mikpoly_suite::mikpoly::{
-    CompileBudget, Engine, LaunchKey, MicroKernelLibrary, MikPoly, OfflineOptions, OnlineOptions,
+    CacheOutcome, CompileBudget, Engine, LaunchKey, MicroKernelLibrary, MikPoly, OfflineOptions,
+    OnlineOptions,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 
@@ -67,10 +68,15 @@ fn cold_shapes_share_exact_device_times_by_launch() {
                     .expect("cold shapes compile");
                 shapes += 1;
                 fills += plan.run.compilations as u64;
-                let program = compiler
+                let reply = compiler
                     .try_compile(&op, CompileBudget::default())
-                    .expect("resident program")
-                    .program;
+                    .expect("resident program");
+                assert_eq!(
+                    reply.outcome,
+                    CacheOutcome::Hit,
+                    "{name} {op}: fill evicted"
+                );
+                let program = reply.program;
                 let fresh = engine.simulate(&program).time_ns;
                 assert_eq!(plan.run.device_ns.to_bits(), fresh.to_bits(), "{name} {op}");
 
