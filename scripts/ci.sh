@@ -37,6 +37,24 @@ grep -q "^cache_hits " "$smoke_dir/metrics.txt" || {
   exit 1
 }
 
+# CLI smoke: one flag table per subcommand. A flag's value is not an
+# operand (a GEMM on the Ascend 910A), `stats --json` prints the metrics
+# registry, and a flag the subcommand does not read is a usage error
+# (exit 2), not silently ignored.
+echo "==> CLI smoke: gemm --machine, stats --json, unknown flag exits 2"
+./target/release/mikpoly gemm 256 256 256 --machine 910a
+./target/release/mikpoly stats --requests 24 --workers 2 --json > "$smoke_dir/stats.json"
+grep -q '"counters"' "$smoke_dir/stats.json" || {
+  echo "error: stats --json printed no counters" >&2
+  exit 1
+}
+status=0
+./target/release/mikpoly serve --utilisation 0.5 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "error: 'mikpoly serve --utilisation 0.5' exited $status, expected 2" >&2
+  exit 1
+fi
+
 # Observability smoke: a deadline-starved serve must trip the SLO
 # engine and auto-dump the flight-recorder blackbox, and the health
 # subcommand must emit a JSON snapshot it has already self-validated
