@@ -275,7 +275,7 @@ fn operator(inv: &Invocation) -> Result<(TemplateKind, Operator), String> {
         let shape = GemmShape::new(d[0], d[1], d[2]);
         return Ok((TemplateKind::Gemm, Operator::gemm(shape)));
     }
-    let shape = Conv2dShape::new(d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7], d[8]);
+    let shape = Conv2dShape::try_new(d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7], d[8])?;
     Ok(match inv.switch("--winograd") {
         true => (TemplateKind::Gemm, Operator::conv2d_winograd(shape)),
         false => (TemplateKind::Conv, Operator::conv2d(shape)),
@@ -1198,6 +1198,18 @@ mod tests {
             let inv = parse(line).expect("operands are checked by the operator");
             assert!(operator(&inv).is_err(), "'{line}' made an operator");
         }
+    }
+
+    #[test]
+    fn a_filter_larger_than_the_padded_input_is_rejected() {
+        let inv = parse("conv 1 1 2 2 1 5 5 1 0").expect("operands are checked by the operator");
+        assert_eq!(
+            operator(&inv).err().as_deref(),
+            Some("padded input must be at least as large as the filter")
+        );
+        // Padding that makes room for the filter is fine.
+        let inv = parse("conv 1 1 2 2 1 5 5 1 2").expect("conv parses");
+        assert!(operator(&inv).is_ok());
     }
 
     fn serve_preset() -> ServeSpec {

@@ -34,7 +34,8 @@ use crate::error::MikPolyError;
 use crate::offline::{MicroKernelLibrary, OfflineOptions};
 use crate::pattern::{default_patterns, Pattern};
 use crate::plan::{CompiledProgram, ReductionGrid, Region, SearchStats};
-use crate::search::{polymerize_degraded, try_polymerize, SearchPolicy};
+use crate::search::family::{FamilyKey, KernelFamily};
+use crate::search::{degraded_family, search_family, split_k_family, SearchPolicy};
 use crate::serving::colaunch::repeat_launch;
 
 /// Options of the online (polymerization) stage.
@@ -60,7 +61,7 @@ pub struct OnlineOptions {
     /// were hit while resident are promoted and survive churn — a
     /// deployment knob for serving fleets whose shape universe outgrows
     /// memory. The compiler's launch memo (one simulated device time per
-    /// distinct launch) shares the bound.
+    /// distinct launch) and its kernel-family table share the bound.
     #[serde(default)]
     pub cache_capacity: Option<usize>,
     /// Knobs of the staged polymerization search (shortlist size, node
@@ -286,6 +287,8 @@ pub struct MikPoly {
     machine: MachineModel,
     library: Arc<MicroKernelLibrary>,
     options: OnlineOptions,
+    /// The pattern set of `options`, resolved against the machine.
+    patterns: Vec<Pattern>,
     cache: ShardedCache<Operator, CachedProgram>,
     /// Programs from the degraded fallback path, cached separately: a
     /// degraded plan must never shadow (or be shadowed by) the full
@@ -295,6 +298,11 @@ pub struct MikPoly {
     /// is solo, behind the program-cache slots; k > 1 times co-launched
     /// waves). Bounded like the program cache.
     launch_memo: ShardedCache<(LaunchKey, usize), f64>,
+    /// The shape-invariant half of the search, per (K, dtype, load
+    /// scale): every fill of the family reads it instead of re-filtering
+    /// and re-costing the library. Bounded like the program cache; never
+    /// persisted.
+    families: ShardedCache<FamilyKey, KernelFamily>,
     telemetry: Arc<Telemetry>,
 }
 
@@ -400,31 +408,34 @@ impl MikPoly {
     /// Uses a pre-generated (e.g. cached-on-disk) micro-kernel library.
     pub fn with_library(machine: MachineModel, library: MicroKernelLibrary) -> Self {
         Self {
+            patterns: default_patterns(&machine),
             machine,
             library: Arc::new(library),
             options: OnlineOptions::default(),
             cache: ShardedCache::new(),
             degraded: ShardedCache::new(),
             launch_memo: ShardedCache::new(),
+            families: ShardedCache::new(),
             telemetry: Telemetry::disabled(),
         }
     }
 
     /// Replaces the online options (builder style). Clears the program
-    /// cache and the launch memo, both bounded by
+    /// cache, the launch memo and the kernel-family table, all bounded by
     /// [`OnlineOptions::cache_capacity`].
     #[must_use]
     pub fn with_options(mut self, options: OnlineOptions) -> Self {
-        let (cache, launch_memo) = match options.cache_capacity {
-            Some(capacity) => (
-                ShardedCache::bounded(capacity),
-                ShardedCache::bounded(capacity),
-            ),
-            None => (ShardedCache::new(), ShardedCache::new()),
-        };
-        self.cache = cache;
-        self.launch_memo = launch_memo;
+        fn table<K: Eq + Hash + Clone, V>(capacity: Option<usize>) -> ShardedCache<K, V> {
+            capacity.map_or_else(ShardedCache::new, ShardedCache::bounded)
+        }
+        self.cache = table(options.cache_capacity);
+        self.launch_memo = table(options.cache_capacity);
+        self.families = table(options.cache_capacity);
         self.degraded = ShardedCache::new();
+        self.patterns = options
+            .patterns
+            .clone()
+            .unwrap_or_else(|| default_patterns(&self.machine));
         self.options = options;
         self
     }
@@ -488,11 +499,11 @@ impl MikPoly {
         &self.options
     }
 
-    fn patterns(&self) -> Vec<Pattern> {
-        self.options
-            .patterns
-            .clone()
-            .unwrap_or_else(|| default_patterns(&self.machine))
+    /// The kernel family of `view`, from the family table.
+    fn family(&self, view: &tensor_ir::GemmView) -> Arc<KernelFamily> {
+        let key = FamilyKey::of(view);
+        let build = || KernelFamily::new(&self.machine, &self.library, view);
+        self.families.get_or_compute(&key, build).0
     }
 
     /// On-the-fly polymerization for a runtime shape (Algorithm 1, lines
@@ -602,13 +613,12 @@ impl MikPoly {
         poison_retries: u32,
     ) -> Result<CompileReply, MikPolyError> {
         let (slot, outcome) = self.degraded.try_get_or_compute(operator, || {
-            polymerize_degraded(
-                &self.machine,
-                &self.library,
-                &operator.gemm_view(),
-                *operator,
-            )
-            .map(|program| CachedProgram::new(program, false))
+            let start = Instant::now();
+            let view = operator.gemm_view();
+            let mut program =
+                degraded_family(&self.machine, &self.family(&view), &view, *operator)?;
+            program.stats.search_ns = start.elapsed().as_nanos();
+            Ok(CachedProgram::new(program, false))
         })?;
         Ok(CompileReply::new(
             slot,
@@ -638,6 +648,23 @@ impl MikPoly {
     /// A description of the first violated invariant.
     pub fn check_launch_memo(&self) -> Result<(), String> {
         self.launch_memo.check_invariants()
+    }
+
+    /// Counter snapshot of the kernel-family table: `computations` is
+    /// the number of families built, one per (K, dtype, load scale) the
+    /// compiler has searched since its last reset.
+    pub fn family_stats(&self) -> CacheStats {
+        self.families.stats()
+    }
+
+    /// Checks the kernel-family table's structural invariants at
+    /// quiescence (see [`ShardedCache::check_invariants`]).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    pub fn check_families(&self) -> Result<(), String> {
+        self.families.check_invariants()
     }
 
     /// Compiles a batch of operators, in parallel across OS threads, and
@@ -815,7 +842,7 @@ impl MikPoly {
             }
         }
         let view = operator.gemm_view();
-        let run = {
+        let (run, family) = {
             let mut span = span!(
                 self.telemetry,
                 "online.search",
@@ -823,17 +850,21 @@ impl MikPoly {
                 n = view.shape.n,
                 k = view.shape.k,
             );
-            let run = try_polymerize(
+            let start = Instant::now();
+            let family = self.family(&view);
+            let mut run = search_family(
                 &self.machine,
-                &self.library,
+                &family,
                 &view,
                 *operator,
-                &self.patterns(),
+                &self.patterns,
                 self.options.cost_model,
                 self.options.prune,
                 &self.options.search,
                 budget.deadline.map(soft_deadline),
+                None,
             )?;
+            run.program.stats.search_ns = start.elapsed().as_nanos();
             if self.telemetry.is_enabled() {
                 let stats = &run.program.stats;
                 span.arg("strategies_evaluated", stats.strategies_evaluated);
@@ -843,7 +874,7 @@ impl MikPoly {
                 span.arg("deadline_cut", usize::from(run.deadline_cut));
                 record_search_stats(stats, self.telemetry.registry());
             }
-            run
+            (run, family)
         };
         deadline_cut.set(run.deadline_cut);
         let mut program = run.program;
@@ -851,8 +882,7 @@ impl MikPoly {
             && self.options.cost_model == CostModelKind::Full
             && !run.deadline_cut
         {
-            program =
-                crate::search::improve_with_split_k(&self.machine, &self.library, &view, program);
+            program = split_k_family(&self.machine, &self.library, &family, &view, program);
         }
         if faults.is_some_and(|f| f.plan.corrupts_program(key, attempt)) {
             // Drop a region so `verify_coverage` fails: the poisoned
@@ -1136,7 +1166,7 @@ impl MikPoly {
             &self.machine,
             &self.library,
             &view,
-            &self.patterns(),
+            &self.patterns,
             cap.max(1),
             |pattern, regions| {
                 candidates += 1;

@@ -77,7 +77,7 @@ pub use error::{panic_reason, MikPolyError};
 pub use exec::{execute_conv2d, execute_gemm};
 pub use kernel::{MicroKernel, MicroKernelId};
 pub use offline::{
-    MicroKernelLibrary, OfflineOptions, TemplateKind, TileArea, TileAspect, TileIndex, TileStratum,
+    MicroKernelLibrary, OfflineOptions, TemplateKind, TileArea, TileAspect, TileStratum,
     TunedKernel,
 };
 pub use pattern::{all_patterns, default_patterns, gpu_patterns, Pattern, PatternId};

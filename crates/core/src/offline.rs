@@ -20,7 +20,6 @@
 //! relative score keeps specialists for every shape regime, which is what
 //! lets MikPoly "perform exceptionally well for small shapes" (Fig. 6).
 
-use std::borrow::Cow;
 use std::io;
 use std::path::Path;
 
@@ -194,44 +193,6 @@ impl TileStratum {
     }
 }
 
-/// A stratified index over a library's kernels by tile geometry, built once
-/// offline so the per-shape online shortlist can look up strata in O(1)
-/// amortized instead of reclassifying per shape.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct TileIndex {
-    /// Kernel ids per stratum, in library rank order within each stratum.
-    pub strata: Vec<(TileStratum, Vec<MicroKernelId>)>,
-}
-
-impl TileIndex {
-    /// Builds the index from a ranked kernel list.
-    pub fn build(kernels: &[TunedKernel]) -> Self {
-        let mut strata: Vec<(TileStratum, Vec<MicroKernelId>)> = Vec::new();
-        for t in kernels {
-            let s = TileStratum::of(&t.kernel);
-            match strata.iter_mut().find(|(stratum, _)| *stratum == s) {
-                Some((_, ids)) => ids.push(t.kernel.id),
-                None => strata.push((s, vec![t.kernel.id])),
-            }
-        }
-        Self { strata }
-    }
-
-    /// The stratum a kernel id belongs to, if indexed.
-    pub fn stratum_of(&self, id: MicroKernelId) -> Option<TileStratum> {
-        self.strata
-            .iter()
-            .find(|(_, ids)| ids.contains(&id))
-            .map(|(s, _)| *s)
-    }
-
-    /// Whether the index holds no kernels (e.g. deserialized from a library
-    /// saved before stratification existed).
-    pub fn is_empty(&self) -> bool {
-        self.strata.is_empty()
-    }
-}
-
 /// The product of the offline stage: the retained micro-kernels, best
 /// ranked first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -242,10 +203,6 @@ pub struct MicroKernelLibrary {
     pub options: OfflineOptions,
     /// Retained kernels, descending ranking score.
     pub kernels: Vec<TunedKernel>,
-    /// Tile-geometry index over the retained kernels (empty when loading a
-    /// library saved before stratification; rebuilt on demand).
-    #[serde(default)]
-    pub index: TileIndex,
 }
 
 impl MicroKernelLibrary {
@@ -325,23 +282,10 @@ impl MicroKernelLibrary {
                 .add(tuned.len() as u64);
         }
 
-        let index = TileIndex::build(&tuned);
         Self {
             machine: machine.name.clone(),
             options: options.clone(),
             kernels: tuned,
-            index,
-        }
-    }
-
-    /// The tile-geometry index over this library's kernels. Libraries
-    /// generated by this version carry it; for libraries loaded from older
-    /// saved artifacts (empty index) it is built on the fly.
-    pub fn stratified_index(&self) -> Cow<'_, TileIndex> {
-        if self.index.is_empty() && !self.kernels.is_empty() {
-            Cow::Owned(TileIndex::build(&self.kernels))
-        } else {
-            Cow::Borrowed(&self.index)
         }
     }
 

@@ -17,7 +17,6 @@ use accel_sim::{AllocationPolicy, MachineModel};
 use tensor_ir::GemmView;
 
 use crate::cost::CostModelKind;
-use crate::offline::TunedKernel;
 use crate::plan::Region;
 
 /// Accumulated cost of a partial strategy.
@@ -51,23 +50,17 @@ pub(crate) struct CostEval<'a> {
 }
 
 impl<'a> CostEval<'a> {
-    /// The evaluator of one shape: `pipe` is the per-kernel `f_pipe`
-    /// parallel to `kernels`, and the remaining-work bound takes the
-    /// fastest per-task FLOP rate among them.
+    /// The evaluator of one shape: `pipe` is the per-kernel `f_pipe` in
+    /// the search's kernel order, and `best_rate` the fastest per-task
+    /// FLOP rate among those kernels (a [`super::family::KernelFamily`]
+    /// computes both once per K).
     pub(crate) fn new(
         machine: &MachineModel,
-        kernels: &[&TunedKernel],
+        best_rate: f64,
         pipe: &'a [f64],
         view: &GemmView,
         kind: CostModelKind,
     ) -> Self {
-        let best_rate = kernels
-            .iter()
-            .zip(pipe)
-            .map(|(t, &p)| {
-                t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
-            })
-            .fold(1e-9, f64::max);
         Self {
             pipe,
             kind,

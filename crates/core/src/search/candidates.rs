@@ -1,7 +1,7 @@
 //! Stage 1: candidate generation — the single source of truth for the
 //! polymerization strategy space.
 //!
-//! Both the pruned branch-and-bound search ([`super::polymerize`]) and the
+//! Both the pruned branch-and-bound search ([`super::try_polymerize`]) and the
 //! exhaustive conformance oracle ([`super::enumerate_strategies`]) walk the
 //! strategy space through this generator, so the searched space and the
 //! audited space are identical *by construction*: the oracle cannot
@@ -14,10 +14,7 @@
 //! final band absorbs the remainder with local padding); within a band,
 //! column segments behave the same way along `N`.
 
-use accel_sim::MachineModel;
-use tensor_ir::GemmView;
-
-use crate::offline::{MicroKernelLibrary, TunedKernel};
+use crate::kernel::MicroKernel;
 use crate::pattern::{Pattern, PatternId};
 use crate::plan::Region;
 
@@ -56,14 +53,14 @@ pub(crate) trait StrategyVisitor {
 /// [`StrategyVisitor`]. The budget counts admitted descents (the expensive
 /// part: recursion plus leaf cost evaluation) and makes the walk anytime.
 pub(crate) struct Generator<'a> {
-    kernels: &'a [&'a TunedKernel],
+    kernels: &'a [MicroKernel],
     m: usize,
     n: usize,
     budget: usize,
 }
 
 impl<'a> Generator<'a> {
-    pub(crate) fn new(kernels: &'a [&'a TunedKernel], m: usize, n: usize, budget: usize) -> Self {
+    pub(crate) fn new(kernels: &'a [MicroKernel], m: usize, n: usize, budget: usize) -> Self {
         Self {
             kernels,
             m,
@@ -118,7 +115,7 @@ impl<'a> Generator<'a> {
                 return;
             }
             let lead = self.kernels[i];
-            let um = lead.kernel.um;
+            let um = lead.um;
             let h = if last_band { rem_m } else { (rem_m / um) * um };
             if h == 0 || (!last_band && h == rem_m) {
                 continue;
@@ -126,7 +123,7 @@ impl<'a> Generator<'a> {
             let (r0, r1) = (row_off, row_off + h);
             match segs {
                 1 => {
-                    let region = Region::new(r0, r1, 0, self.n, lead.kernel);
+                    let region = Region::new(r0, r1, 0, self.n, lead);
                     if visitor.admit(i, &region, self.m - r1) == Admit::Prune {
                         continue;
                     }
@@ -137,13 +134,13 @@ impl<'a> Generator<'a> {
                     visitor.retract();
                 }
                 2 => {
-                    let w = (self.n / lead.kernel.un) * lead.kernel.un;
+                    let w = (self.n / lead.un) * lead.un;
                     if w == 0 || w == self.n {
                         // Degenerate split; the single-segment pattern
                         // covers it.
                         continue;
                     }
-                    let left = Region::new(r0, r1, 0, w, lead.kernel);
+                    let left = Region::new(r0, r1, 0, w, lead);
                     if visitor.admit(i, &left, self.m - r1) == Admit::Prune {
                         continue;
                     }
@@ -153,7 +150,7 @@ impl<'a> Generator<'a> {
                             break;
                         }
                         let trail = self.kernels[j];
-                        let right = Region::new(r0, r1, w, self.n, trail.kernel);
+                        let right = Region::new(r0, r1, w, self.n, trail);
                         if visitor.admit(j, &right, self.m - r1) == Admit::Prune {
                             continue;
                         }
@@ -170,38 +167,4 @@ impl<'a> Generator<'a> {
             }
         }
     }
-}
-
-/// Precomputes `g_predict(f_num)` per usable kernel for a fixed reduction
-/// extent. Every region spans the full reduction extent, so the
-/// pipelined-task cost of a kernel does not depend on region geometry —
-/// this cache is what keeps the online search at microsecond scale.
-pub(crate) fn pipe_cache(kernels: &[&TunedKernel], k_extent: usize) -> Vec<f64> {
-    kernels
-        .iter()
-        .map(|t| t.perf.predict(t.kernel.instances_for(k_extent)))
-        .collect()
-}
-
-/// The library's kernels usable for this view, in library rank order.
-///
-/// # Panics
-///
-/// Panics if the library contains no usable kernel for this view (which
-/// cannot happen for libraries produced by
-/// [`MicroKernelLibrary::generate`] on the same machine).
-pub(crate) fn usable<'a>(
-    machine: &MachineModel,
-    library: &'a MicroKernelLibrary,
-    view: &GemmView,
-) -> Vec<&'a TunedKernel> {
-    let kernels = library.usable_kernels(machine, view);
-    assert!(
-        !kernels.is_empty(),
-        "micro-kernel library for {} has no kernel usable for {:?} on {}",
-        library.machine,
-        view.shape,
-        machine.name
-    );
-    kernels
 }

@@ -15,8 +15,8 @@
 //! 2. **Shape-aware shortlisting** ([`shortlist`]) — kernels are ranked
 //!    per shape by predicted region efficiency (occupancy-aware on
 //!    dynamically scheduled machines), and deep patterns draw from a
-//!    stratified-diversity shortlist built on the offline library's
-//!    tile-geometry index, replacing the old global top-16 cut.
+//!    stratified-diversity shortlist over the kernels' tile-geometry
+//!    strata, replacing the old global top-16 cut.
 //! 3. **Bounding and pruning** ([`bound`]) — the admissible remaining-work
 //!    bound; as soon as a partial strategy's bound reaches the incumbent's
 //!    cost (under *both* tracked criteria), the subtree is skipped — the
@@ -34,6 +34,12 @@
 //!    [`SearchPolicy::max_escalations`]); outcomes land in [`SearchStats`]
 //!    and the `search.*` telemetry counters.
 //!
+//! Every per-kernel input of these stages that does not read M or N — the
+//! usable kernels, `f_pipe`, the occupancy profiles, the strata and the
+//! bound's best FLOP rate — comes from the view's [`family::KernelFamily`],
+//! built once per (K, dtype, load scale). Per shape the search only
+//! scores, sorts, promotes and walks.
+//!
 //! Under a serving deadline the search is *anytime*: [`try_polymerize`]
 //! takes an optional wall-clock deadline, checks it every few dozen
 //! descents, and on expiry stops exploring and returns the incumbent
@@ -47,6 +53,7 @@
 
 pub(crate) mod bound;
 pub(crate) mod candidates;
+pub(crate) mod family;
 mod policy;
 pub(crate) mod shortlist;
 mod splitk;
@@ -64,11 +71,13 @@ use crate::pattern::{Pattern, PatternId};
 use crate::plan::{CompiledProgram, Region, SearchStats};
 
 use bound::{CostEval, Partial};
-use candidates::{pipe_cache, usable, Admit, Generator, StrategyVisitor};
+use candidates::{Admit, Generator, StrategyVisitor};
+use family::KernelFamily;
 use shortlist::OccupancyModel;
 
 pub use policy::SearchPolicy;
 pub use splitk::improve_with_split_k;
+pub(crate) use splitk::split_k_family;
 
 /// How often the branch-and-bound walk consults the wall clock when a
 /// deadline is set: every this-many admitted descents. Cheap enough to
@@ -297,7 +306,10 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
 /// Runs the online polymerization search and returns the optimized tensor
 /// program `S*`. With a deadline the search checks the clock every
 /// [`DEADLINE_CHECK_INTERVAL`] descents and, on expiry, returns the
-/// incumbent flagged [`SearchRun::deadline_cut`]. Errors:
+/// incumbent flagged [`SearchRun::deadline_cut`]. Builds the view's
+/// kernel family (the library's per-kernel inputs for its K, dtype and
+/// load scale) for this one call; a [`crate::MikPoly`] keeps its families
+/// in a table and runs the same search over them. Errors:
 ///
 /// * [`MikPolyError::DeadlineExceeded`] — the deadline fired before any
 ///   complete strategy was costed (no incumbent to return);
@@ -338,33 +350,52 @@ fn try_polymerize_observed(
     observer: Option<StrategyObserver<'_>>,
 ) -> Result<SearchRun, MikPolyError> {
     let start = Instant::now();
-    let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
-    let raw_kernels = library.usable_kernels(machine, view);
-    if raw_kernels.is_empty() {
+    let family = KernelFamily::new(machine, library, view);
+    let mut run = search_family(
+        machine, &family, view, operator, patterns, kind, prune, policy, deadline, observer,
+    )?;
+    run.program.stats.search_ns = start.elapsed().as_nanos();
+    Ok(run)
+}
+
+/// The per-shape half of the search over a view's [`KernelFamily`]: the
+/// shape-aware kernel order, then the branch-and-bound walk. Leaves
+/// [`SearchStats::search_ns`] for the caller, who times the family lookup
+/// too.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_family(
+    machine: &MachineModel,
+    family: &KernelFamily,
+    view: &GemmView,
+    operator: tensor_ir::Operator,
+    patterns: &[Pattern],
+    kind: CostModelKind,
+    prune: bool,
+    policy: &SearchPolicy,
+    deadline: Option<Instant>,
+    observer: Option<StrategyObserver<'_>>,
+) -> Result<SearchRun, MikPolyError> {
+    if family.is_empty() {
         return Err(MikPolyError::NoFeasibleStrategy { operator });
     }
-    let raw_pipe = pipe_cache(&raw_kernels, view.shape.k);
+    let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
 
     // Stage 2: shape-aware ordering with stratified-diversity promotion.
-    let index = library.stratified_index();
-    let order = shortlist::shape_order(
-        machine,
-        &raw_kernels,
-        &raw_pipe,
-        view,
-        static_alloc,
-        &index,
-        policy.shortlist,
-    );
-    let kernels: Vec<_> = order.iter().map(|&i| raw_kernels[i]).collect();
-    let pipe: Vec<f64> = order.iter().map(|&i| raw_pipe[i]).collect();
+    let (m, n) = (view.shape.m, view.shape.n);
+    let order = shortlist::shape_order(family, machine.num_pes, m, n, policy.shortlist);
+    let kernels: Vec<_> = order.iter().map(|&i| family.kernels[i]).collect();
+    let pipe: Vec<f64> = order.iter().map(|&i| family.pipe[i]).collect();
 
-    let eval = CostEval::new(machine, &kernels, &pipe, view, kind);
+    let eval = CostEval::new(machine, family.best_rate, &pipe, view, kind);
     // Stage 4 applies on dynamically scheduled machines under the full
     // model: static placement already costs leaves exactly (LPT), and the
     // ablated models must keep their deliberately-ablated selection.
     let refine = policy.refine && !static_alloc && kind == CostModelKind::Full;
-    let occ = refine.then(|| OccupancyModel::new(machine, &kernels, &pipe, view));
+    let occ = family
+        .occupancy
+        .as_ref()
+        .filter(|_| refine)
+        .map(|o| o.permuted(&order));
 
     let mut stats = SearchStats {
         patterns_tried: patterns.len(),
@@ -389,7 +420,7 @@ fn try_polymerize_observed(
             usize::MAX
         };
         let deep_limit = policy.shortlist_for(round).min(kernels.len());
-        let mut generator = Generator::new(&kernels, view.shape.m, view.shape.n, budget);
+        let mut generator = Generator::new(&kernels, m, n, budget);
         for pattern in patterns {
             let limit = if pattern.num_regions() >= 3 {
                 if deep_limit < kernels.len() {
@@ -410,7 +441,7 @@ fn try_polymerize_observed(
         // shape's admissible lower bound. A blown deadline trumps both:
         // escalation would only dig the hole deeper.
         if exhausted && prune && !visitor.deadline_cut && round < policy.max_escalations {
-            let floor = eval.lower_bound(Partial::default(), view.shape.m);
+            let floor = eval.lower_bound(Partial::default(), m);
             let incumbent = visitor.best_cost();
             if floor > 0.0 && incumbent > floor * policy.escalate_ratio {
                 round += 1;
@@ -438,7 +469,6 @@ fn try_polymerize_observed(
         }
         _ => model_best,
     };
-    stats.search_ns = start.elapsed().as_nanos();
     Ok(SearchRun {
         program: CompiledProgram {
             operator,
@@ -468,26 +498,40 @@ pub fn polymerize_degraded(
     operator: tensor_ir::Operator,
 ) -> Result<CompiledProgram, MikPolyError> {
     let start = Instant::now();
-    let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
-    let kernels = library.usable_kernels(machine, view);
-    if kernels.is_empty() {
-        return Err(MikPolyError::NoFeasibleStrategy { operator });
-    }
-    let pipe = pipe_cache(&kernels, view.shape.k);
+    let family = KernelFamily::new(machine, library, view);
+    let mut program = degraded_family(machine, &family, view, operator)?;
+    program.stats.search_ns = start.elapsed().as_nanos();
+    Ok(program)
+}
+
+/// [`polymerize_degraded`] over a view's [`KernelFamily`]; leaves
+/// [`SearchStats::search_ns`] for the caller.
+pub(crate) fn degraded_family(
+    machine: &MachineModel,
+    family: &KernelFamily,
+    view: &GemmView,
+    operator: tensor_ir::Operator,
+) -> Result<CompiledProgram, MikPolyError> {
     // Rank with the same shape-aware ordering the full search uses, but
     // keep only the head: one kernel, one region, zero search.
-    let index = library.stratified_index();
-    let order = shortlist::shape_order(machine, &kernels, &pipe, view, static_alloc, &index, 1);
+    let (m, n) = (view.shape.m, view.shape.n);
+    let order = shortlist::shape_order(family, machine.num_pes, m, n, 1);
     let Some(&top) = order.first() else {
         return Err(MikPolyError::NoFeasibleStrategy { operator });
     };
-    let region = Region::new(0, view.shape.m, 0, view.shape.n, kernels[top].kernel);
+    let region = Region::new(0, m, 0, n, family.kernels[top]);
 
     // Cost the plan as the full search costs its leaves so `predicted_ns`
     // stays comparable across grades.
-    let eval = CostEval::new(machine, &kernels, &pipe, view, CostModelKind::Full);
+    let eval = CostEval::new(
+        machine,
+        family.best_rate,
+        &family.pipe,
+        view,
+        CostModelKind::Full,
+    );
     let predicted_ns = if eval.lpt_leaves() {
-        lpt_makespan(&[(pipe[top], region.tasks())], machine.num_pes)
+        lpt_makespan(&[(family.pipe[top], region.tasks())], machine.num_pes)
     } else {
         eval.finish(eval.extend(Partial::default(), &region, top))
     };
@@ -496,7 +540,6 @@ pub fn polymerize_degraded(
         strategies_evaluated: 1,
         patterns_tried: 1,
         degraded: true,
-        search_ns: start.elapsed().as_nanos(),
         ..SearchStats::default()
     };
     Ok(CompiledProgram {
@@ -558,8 +601,16 @@ pub fn enumerate_strategies_capped(
     cap: usize,
     mut cb: impl FnMut(PatternId, &[Region]),
 ) -> bool {
-    let kernels = usable(machine, library, view);
-    let mut generator = Generator::new(&kernels, view.shape.m, view.shape.n, cap.max(1));
+    let family = KernelFamily::new(machine, library, view);
+    assert!(
+        !family.is_empty(),
+        "micro-kernel library for {} has no kernel usable for {:?} on {}",
+        library.machine,
+        view.shape,
+        machine.name
+    );
+    let kernels = &family.kernels;
+    let mut generator = Generator::new(kernels, view.shape.m, view.shape.n, cap.max(1));
     let mut visitor = EnumerateVisitor { cb: &mut cb };
     for pattern in patterns {
         generator.run_pattern(pattern, kernels.len(), &mut visitor);
@@ -903,13 +954,15 @@ mod tests {
             let mut discrete_binds = 0usize;
             for (mm, nn, kk) in shapes {
                 let view = Operator::gemm(GemmShape::new(mm, nn, kk)).gemm_view();
-                let kernels = lib.usable_kernels(&machine, &view);
-                let pipe = pipe_cache(&kernels, kk);
-                let eval = CostEval::new(&machine, &kernels, &pipe, &view, CostModelKind::Full);
+                let family = KernelFamily::new(&machine, &lib, &view);
+                let pipe = &family.pipe;
+                let eval =
+                    CostEval::new(&machine, family.best_rate, pipe, &view, CostModelKind::Full);
                 let index_of = |r: &Region| {
-                    kernels
+                    family
+                        .kernels
                         .iter()
-                        .position(|t| t.kernel.id == r.kernel.id)
+                        .position(|k| k.id == r.kernel.id)
                         .expect("an enumerated region uses a usable kernel")
                 };
                 let mut strategies = 0usize;

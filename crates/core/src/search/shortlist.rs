@@ -11,22 +11,26 @@
 //! co-residency is invisible to `f_wave`. The occupancy-aware estimator
 //! here folds both effects into a closed form that stays O(1) per region,
 //! so it can rank kernels per shape *and* re-rank complete strategies (the
-//! selection-refinement step in [`super::polymerize`]) without touching
+//! selection-refinement step in [`super::try_polymerize`]) without touching
 //! the simulator on the online path.
 
 use accel_sim::MachineModel;
 use tensor_ir::GemmView;
 
-use crate::offline::{TileIndex, TileStratum, TunedKernel};
+use crate::kernel::MicroKernel;
+use crate::offline::TileStratum;
 
-/// Per-kernel occupancy constants, precomputed once per shape.
+use super::family::KernelFamily;
+
+/// Per-kernel occupancy constants. None of them reads M or N, so they are
+/// computed once per [`KernelFamily`].
 #[derive(Debug, Clone, Copy)]
 struct KernelOccupancy {
     /// Co-resident task slots per PE: warp-slot and local-memory bound.
     slots: usize,
     /// Bytes a resident task moves per ns of pipelined execution.
     bw_per_task: f64,
-    /// `g_predict` for the shape's reduction extent.
+    /// `g_predict` for the view's reduction extent.
     pipe: f64,
 }
 
@@ -38,25 +42,23 @@ struct KernelOccupancy {
 pub(crate) struct OccupancyModel {
     num_pes: usize,
     pe_bw: f64,
-    /// Parallel to the search's kernel order.
+    /// Parallel to the kernel list it was built from.
     profiles: Vec<KernelOccupancy>,
 }
 
 impl OccupancyModel {
     pub(crate) fn new(
         machine: &MachineModel,
-        kernels: &[&TunedKernel],
+        kernels: &[MicroKernel],
         pipe: &[f64],
         view: &GemmView,
     ) -> Self {
         let profiles = kernels
             .iter()
             .zip(pipe)
-            .map(|(t, &p)| {
-                let spec = t
-                    .kernel
-                    .task_spec(view, t.kernel.instances_for(view.shape.k));
-                let slots_w = machine.warp_cap_per_pe / t.kernel.warps.max(1);
+            .map(|(kernel, &p)| {
+                let spec = kernel.task_spec(view, kernel.instances_for(view.shape.k));
+                let slots_w = machine.warp_cap_per_pe / kernel.warps.max(1);
                 let slots_m = machine.local_mem_bytes / spec.shape.local_mem_bytes().max(1);
                 KernelOccupancy {
                     slots: slots_w.min(slots_m).max(1),
@@ -69,6 +71,16 @@ impl OccupancyModel {
             num_pes: machine.num_pes,
             pe_bw: machine.pe_bandwidth_bytes_per_ns(),
             profiles,
+        }
+    }
+
+    /// The model over the kernels in `order` (indices into this model's
+    /// kernel list): the search's per-shape kernel order.
+    pub(crate) fn permuted(&self, order: &[usize]) -> Self {
+        Self {
+            num_pes: self.num_pes,
+            pe_bw: self.pe_bw,
+            profiles: order.iter().map(|&i| self.profiles[i]).collect(),
         }
     }
 
@@ -86,12 +98,12 @@ impl OccupancyModel {
     }
 }
 
-/// Ranks the usable kernels for one shape, best predicted region
+/// Ranks a family's kernels for one `m x n` shape, best predicted region
 /// efficiency first, and (when a `shortlist` cut will apply) promotes the
 /// best kernel of each tile-geometry stratum into the shortlist prefix so
 /// a truncated deep-pattern search keeps geometric diversity instead of
 /// drowning in near-duplicates of the front-runner. Returns a permutation
-/// of kernel indices.
+/// of the family's kernel indices.
 ///
 /// Dynamic machines rank by the occupancy-aware estimator; static
 /// (compiler-placed) machines rank by the makespan estimate
@@ -99,48 +111,45 @@ impl OccupancyModel {
 /// shape's Pattern-I cost under the respective machine's execution model,
 /// which places a near-optimal incumbent on the search's first descent.
 pub(crate) fn shape_order(
-    machine: &MachineModel,
-    kernels: &[&TunedKernel],
-    pipe: &[f64],
-    view: &GemmView,
-    static_alloc: bool,
-    index: &TileIndex,
+    family: &KernelFamily,
+    num_pes: usize,
+    m: usize,
+    n: usize,
     shortlist: usize,
 ) -> Vec<usize> {
-    let (m, n) = (view.shape.m, view.shape.n);
-    let score: Vec<f64> = if static_alloc {
-        kernels
-            .iter()
-            .zip(pipe)
-            .map(|(t, &p)| {
-                let tasks = t.kernel.tasks_for(m, n);
-                (tasks as f64 * p / machine.num_pes as f64).max(p)
-            })
-            .collect()
-    } else {
-        let occ = OccupancyModel::new(machine, kernels, pipe, view);
-        kernels
+    let kernels = &family.kernels;
+    let mut scored: Vec<(f64, usize)> = match &family.occupancy {
+        Some(occ) => kernels
             .iter()
             .enumerate()
-            .map(|(i, t)| occ.region_ns(i, t.kernel.tasks_for(m, n)))
-            .collect()
+            .map(|(i, kernel)| (occ.region_ns(i, kernel.tasks_for(m, n)), i))
+            .collect(),
+        None => kernels
+            .iter()
+            .zip(&family.pipe)
+            .enumerate()
+            .map(|(i, (kernel, &p))| {
+                let tasks = kernel.tasks_for(m, n) as f64;
+                ((tasks * p / num_pes as f64).max(p), i)
+            })
+            .collect(),
     };
-    let mut order: Vec<usize> = (0..kernels.len()).collect();
-    order.sort_by(|&a, &b| score[a].total_cmp(&score[b]));
-    if shortlist >= order.len() {
-        return order;
+    // Equal scores keep library order.
+    scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let order = scored.iter().map(|&(_, i)| i);
+    if shortlist >= kernels.len() {
+        return order.collect();
     }
     // Stratified-diversity promotion: the first occurrence of each
     // geometry stratum (in efficiency order) moves to the front, so any
     // shortlist prefix of at least `strata` kernels covers every tile
     // regime the library retained.
-    let mut anchors: Vec<usize> = Vec::new();
-    let mut rest: Vec<usize> = Vec::new();
-    let mut seen: Vec<TileStratum> = Vec::new();
-    for &i in &order {
-        let stratum = index
-            .stratum_of(kernels[i].kernel.id)
-            .unwrap_or_else(|| TileStratum::of(&kernels[i].kernel));
+    let mut anchors: Vec<usize> = Vec::with_capacity(kernels.len());
+    let mut rest: Vec<usize> = Vec::with_capacity(kernels.len());
+    // 3 aspects x 3 footprints.
+    let mut seen: Vec<TileStratum> = Vec::with_capacity(9);
+    for i in order {
+        let stratum = family.strata[i];
         if seen.contains(&stratum) {
             rest.push(i);
         } else {
@@ -153,6 +162,7 @@ pub(crate) fn shape_order(
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::offline::{MicroKernelLibrary, OfflineOptions};
@@ -172,13 +182,11 @@ mod tests {
     #[test]
     fn region_efficiency_never_beats_the_pipelined_task_itself() {
         let (machine, lib) = setup();
-        let v = view(512, 512, 256);
-        let kernels: Vec<_> = lib.usable_kernels(&machine, &v);
-        let pipe = super::super::candidates::pipe_cache(&kernels, v.shape.k);
-        let occ = OccupancyModel::new(&machine, &kernels, &pipe, &v);
-        for (i, t) in kernels.iter().enumerate() {
-            let tasks = t.kernel.tasks_for(512, 512);
-            assert!(occ.region_ns(i, tasks) >= pipe[i] - 1e-9);
+        let family = KernelFamily::new(&machine, &lib, &view(512, 512, 256));
+        let occ = family.occupancy.as_ref().expect("the A100 places tasks");
+        for (i, kernel) in family.kernels.iter().enumerate() {
+            let tasks = kernel.tasks_for(512, 512);
+            assert!(occ.region_ns(i, tasks) >= family.pipe[i] - 1e-9);
         }
     }
 
@@ -188,15 +196,13 @@ mod tests {
         // effective waves than Eq. 2's tasks/|P| whenever its tasks
         // co-reside — the exact effect the hard-shape gap came from.
         let (machine, lib) = setup();
-        let v = view(512, 512, 256);
-        let kernels: Vec<_> = lib.usable_kernels(&machine, &v);
-        let pipe = super::super::candidates::pipe_cache(&kernels, v.shape.k);
-        let occ = OccupancyModel::new(&machine, &kernels, &pipe, &v);
+        let family = KernelFamily::new(&machine, &lib, &view(512, 512, 256));
+        let occ = family.occupancy.as_ref().expect("the A100 places tasks");
         let mut discounted = 0;
-        for (i, t) in kernels.iter().enumerate() {
-            let tasks = t.kernel.tasks_for(512, 512);
-            let eq2 = tasks.div_ceil(machine.num_pes) as f64 * pipe[i];
-            if t.kernel.warps < machine.warp_cap_per_pe && tasks > machine.num_pes {
+        for (i, kernel) in family.kernels.iter().enumerate() {
+            let tasks = kernel.tasks_for(512, 512);
+            let eq2 = tasks.div_ceil(machine.num_pes) as f64 * family.pipe[i];
+            if kernel.warps < machine.warp_cap_per_pe && tasks > machine.num_pes {
                 assert!(occ.region_ns(i, tasks) <= eq2 + 1e-9);
                 if occ.region_ns(i, tasks) < eq2 * 0.75 {
                     discounted += 1;
@@ -209,19 +215,16 @@ mod tests {
     #[test]
     fn shape_order_is_a_permutation_and_diversity_prefix_covers_strata() {
         let (machine, lib) = setup();
-        let v = view(777, 333, 111);
-        let kernels: Vec<_> = lib.usable_kernels(&machine, &v);
-        let pipe = super::super::candidates::pipe_cache(&kernels, v.shape.k);
-        let index = lib.stratified_index().into_owned();
-        let order = shape_order(&machine, &kernels, &pipe, &v, false, &index, 2);
+        let family = KernelFamily::new(&machine, &lib, &view(777, 333, 111));
+        let order = shape_order(&family, machine.num_pes, 777, 333, 2);
         let mut sorted = order.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..kernels.len()).collect::<Vec<_>>());
+        assert_eq!(sorted, (0..family.kernels.len()).collect::<Vec<_>>());
         // With a cut in play, the distinct strata of the usable set appear
         // before any repeat.
         let strata: Vec<TileStratum> = order
             .iter()
-            .map(|&i| TileStratum::of(&kernels[i].kernel))
+            .map(|&i| TileStratum::of(&family.kernels[i]))
             .collect();
         let distinct: std::collections::HashSet<_> = strata.iter().collect();
         let prefix: std::collections::HashSet<_> = strata[..distinct.len()].iter().collect();

@@ -7,7 +7,7 @@ use crate::offline::MicroKernelLibrary;
 use crate::pattern::PatternId;
 use crate::plan::{CompiledProgram, Region};
 
-use super::candidates::usable;
+use super::family::KernelFamily;
 
 /// Split-K post-pass.
 ///
@@ -20,6 +20,19 @@ use super::candidates::usable;
 pub fn improve_with_split_k(
     machine: &MachineModel,
     library: &MicroKernelLibrary,
+    view: &GemmView,
+    program: CompiledProgram,
+) -> CompiledProgram {
+    let family = KernelFamily::new(machine, library, view);
+    split_k_family(machine, library, &family, view, program)
+}
+
+/// [`improve_with_split_k`] over the usable kernels of `family`, which
+/// must be the view's family of `library`.
+pub(crate) fn split_k_family(
+    machine: &MachineModel,
+    library: &MicroKernelLibrary,
+    family: &KernelFamily,
     view: &GemmView,
     mut program: CompiledProgram,
 ) -> CompiledProgram {
@@ -47,20 +60,21 @@ pub fn improve_with_split_k(
     // Demand a clear predicted win to absorb cost-model error.
     let mut best_cost = program.predicted_ns * 0.85;
     let mut improved = false;
-    for t in usable(machine, library, view) {
-        let base_tasks = t.kernel.tasks_for(m, n);
-        let instances = t.kernel.instances_for(k);
+    for (kernel, &index) in family.kernels.iter().zip(&family.library_index) {
+        let perf = &library.kernels[index].perf;
+        let base_tasks = kernel.tasks_for(m, n);
+        let instances = kernel.instances_for(k);
         for ways in [2usize, 4, 8] {
             if instances < ways || base_tasks * ways > 4 * machine.num_pes {
                 continue;
             }
             let waves = (base_tasks * ways).div_ceil(machine.num_pes) as f64;
-            let cost = waves * t.perf.predict(instances.div_ceil(ways)) + reduce_ns(ways);
+            let cost = waves * perf.predict(instances.div_ceil(ways)) + reduce_ns(ways);
             if cost < best_cost {
                 best_cost = cost;
                 improved = true;
                 program.pattern = PatternId(10);
-                program.regions = vec![Region::new(0, m, 0, n, t.kernel)];
+                program.regions = vec![Region::new(0, m, 0, n, *kernel)];
                 program.split_k = ways;
             }
         }

@@ -75,7 +75,8 @@ impl Conv2dShape {
     /// # Panics
     ///
     /// Panics if any extent is zero, if the stride is zero, or if the
-    /// padded input is smaller than the filter.
+    /// padded input is smaller than the filter (see
+    /// [`Conv2dShape::try_new`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         batch: usize,
@@ -88,19 +89,7 @@ impl Conv2dShape {
         stride: usize,
         padding: usize,
     ) -> Self {
-        assert!(
-            batch > 0 && in_channels > 0 && height > 0 && width > 0 && out_channels > 0,
-            "convolution extents must be positive"
-        );
-        assert!(
-            kernel_h > 0 && kernel_w > 0 && stride > 0,
-            "filter and stride must be positive"
-        );
-        assert!(
-            height + 2 * padding >= kernel_h && width + 2 * padding >= kernel_w,
-            "padded input must be at least as large as the filter"
-        );
-        Self {
+        Self::try_new(
             batch,
             in_channels,
             height,
@@ -110,7 +99,48 @@ impl Conv2dShape {
             kernel_w,
             stride,
             padding,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a convolution shape, or names the constraint it violates.
+    ///
+    /// # Errors
+    ///
+    /// When any extent is zero, the stride is zero, or the padded input
+    /// is smaller than the filter.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_new(
+        batch: usize,
+        in_channels: usize,
+        height: usize,
+        width: usize,
+        out_channels: usize,
+        kernel_h: usize,
+        kernel_w: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Result<Self, &'static str> {
+        if [batch, in_channels, height, width, out_channels].contains(&0) {
+            return Err("convolution extents must be positive");
         }
+        if [kernel_h, kernel_w, stride].contains(&0) {
+            return Err("filter and stride must be positive");
+        }
+        if height + 2 * padding < kernel_h || width + 2 * padding < kernel_w {
+            return Err("padded input must be at least as large as the filter");
+        }
+        Ok(Self {
+            batch,
+            in_channels,
+            height,
+            width,
+            out_channels,
+            kernel_h,
+            kernel_w,
+            stride,
+            padding,
+        })
     }
 
     /// A square-filter convolution with "same"-style padding `k/2`.

@@ -54,6 +54,15 @@ if [ "$status" -ne 2 ]; then
   echo "error: 'mikpoly serve --utilisation 0.5' exited $status, expected 2" >&2
   exit 1
 fi
+# An operand combination the operator rejects (a filter larger than its
+# padded input) is a usage error too, not a panic.
+echo "==> CLI smoke: a conv whose filter exceeds its padded input exits 2"
+status=0
+./target/release/mikpoly conv 1 1 2 2 1 5 5 1 0 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "error: 'mikpoly conv 1 1 2 2 1 5 5 1 0' exited $status, expected 2" >&2
+  exit 1
+fi
 
 # Observability smoke: a deadline-starved serve must trip the SLO
 # engine and auto-dump the flight-recorder blackbox, and the health
