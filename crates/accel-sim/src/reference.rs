@@ -1,5 +1,5 @@
 //! The frozen pre-event-core scheduler loop, kept as the differential
-//! oracle for the fast core in [`crate::scheduler`].
+//! oracle for the fast core in `crate::scheduler`.
 //!
 //! This module is a verbatim transplant of the original
 //! `simulate_impl`: per-task `filter + max_by_key` admission scan,

@@ -8,9 +8,9 @@
 //! cores on the same workloads, writes `results/sim-throughput.json`,
 //! and fails the run if the fast core's throughput falls below either
 //!
-//! * the **relative gate** — at least [`MIN_SPEEDUP`]x the reference
+//! * the **relative gate** — at least `MIN_SPEEDUP` (10x) the reference
 //!   loop measured in the same process, or
-//! * the **absolute floor** — [`MIN_TASKS_PER_SEC`] simulated tasks per
+//! * the **absolute floor** — `MIN_TASKS_PER_SEC` (14M) simulated tasks per
 //!   host second, 10x the ~1.4M tasks/s the pre-rebuild scan loop
 //!   profiled at.
 //!
@@ -21,7 +21,7 @@
 //! Every run, quick or full, also gates the simulator's self-profile:
 //! one [`simulate_profiled`] pass per full-scale workload, outside the
 //! timed repetitions, must attribute its wall time to the loop's phases
-//! within [`COVERAGE_TOLERANCE`]. The lap timer is relayed, never reset,
+//! within `COVERAGE_TOLERANCE` (2%). The lap timer is relayed, never reset,
 //! so a larger gap means a phase of the hot loop escaped instrumentation.
 //! Quick runs profile at full scale too: a call's few fixed microseconds
 //! outside the timer would put the quick grids at only 0.98-0.99.

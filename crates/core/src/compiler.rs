@@ -35,7 +35,7 @@ use crate::offline::{MicroKernelLibrary, OfflineOptions};
 use crate::pattern::{default_patterns, Pattern};
 use crate::plan::{CompiledProgram, ReductionGrid, Region, SearchStats};
 use crate::search::family::{FamilyKey, KernelFamily};
-use crate::search::{degraded_family, search_family, split_k_family, SearchPolicy};
+use crate::search::{SearchPolicy, SearchRun, Searcher};
 use crate::serving::colaunch::repeat_launch;
 
 /// Options of the online (polymerization) stage.
@@ -60,8 +60,9 @@ pub struct OnlineOptions {
     /// evicts unreferenced programs in insertion order while shapes that
     /// were hit while resident are promoted and survive churn — a
     /// deployment knob for serving fleets whose shape universe outgrows
-    /// memory. The compiler's launch memo (one simulated device time per
-    /// distinct launch) and its kernel-family table share the bound.
+    /// memory. The compiler's degraded-plan cache, its launch memo (one
+    /// simulated device time per distinct launch) and its kernel-family
+    /// table share the bound.
     #[serde(default)]
     pub cache_capacity: Option<usize>,
     /// Knobs of the staged polymerization search (shortlist size, node
@@ -292,7 +293,7 @@ pub struct MikPoly {
     cache: ShardedCache<Operator, CachedProgram>,
     /// Programs from the degraded fallback path, cached separately: a
     /// degraded plan must never shadow (or be shadowed by) the full
-    /// search's plan for the same shape.
+    /// search's plan for the same shape. Bounded like the program cache.
     degraded: ShardedCache<Operator, CachedProgram>,
     /// Simulated device time per distinct launch and wave width k (k = 1
     /// is solo, behind the program-cache slots; k > 1 times co-launched
@@ -421,17 +422,17 @@ impl MikPoly {
     }
 
     /// Replaces the online options (builder style). Clears the program
-    /// cache, the launch memo and the kernel-family table, all bounded by
-    /// [`OnlineOptions::cache_capacity`].
+    /// cache, the degraded-plan cache, the launch memo and the
+    /// kernel-family table, all bounded by [`OnlineOptions::cache_capacity`].
     #[must_use]
     pub fn with_options(mut self, options: OnlineOptions) -> Self {
         fn table<K: Eq + Hash + Clone, V>(capacity: Option<usize>) -> ShardedCache<K, V> {
             capacity.map_or_else(ShardedCache::new, ShardedCache::bounded)
         }
         self.cache = table(options.cache_capacity);
+        self.degraded = table(options.cache_capacity);
         self.launch_memo = table(options.cache_capacity);
         self.families = table(options.cache_capacity);
-        self.degraded = ShardedCache::new();
         self.patterns = options
             .patterns
             .clone()
@@ -506,6 +507,16 @@ impl MikPoly {
         self.families.get_or_compute(&key, build).0
     }
 
+    /// The search's front door, configured as this compiler.
+    fn searcher(&self) -> Searcher<'_> {
+        Searcher {
+            machine: &self.machine,
+            library: &self.library,
+            options: &self.options,
+            patterns: &self.patterns,
+        }
+    }
+
     /// On-the-fly polymerization for a runtime shape (Algorithm 1, lines
     /// 7–15). Cached per operator when [`OnlineOptions::cache`] is set;
     /// concurrent misses on one operator compile exactly once (single
@@ -548,13 +559,13 @@ impl MikPoly {
         budget: CompileBudget<'_>,
     ) -> Result<CompileReply, MikPolyError> {
         if budget.degrade_only {
-            return self.degraded_reply(operator, 0);
+            return self.degraded_reply(operator);
         }
         match self.try_compile_full(operator, budget) {
             Ok(reply) => Ok(reply),
             // The search ran out of time before costing any strategy:
             // drop to the bottom rung.
-            Err(MikPolyError::DeadlineExceeded { .. }) => self.degraded_reply(operator, 0),
+            Err(MikPolyError::DeadlineExceeded { .. }) => self.degraded_reply(operator),
             Err(other) => Err(other),
         }
     }
@@ -607,25 +618,16 @@ impl MikPoly {
 
     /// The bottom rung: the search-free single-kernel plan, cached in the
     /// dedicated degraded cache.
-    fn degraded_reply(
-        &self,
-        operator: &Operator,
-        poison_retries: u32,
-    ) -> Result<CompileReply, MikPolyError> {
+    fn degraded_reply(&self, operator: &Operator) -> Result<CompileReply, MikPolyError> {
         let (slot, outcome) = self.degraded.try_get_or_compute(operator, || {
             let start = Instant::now();
             let view = operator.gemm_view();
-            let mut program =
-                degraded_family(&self.machine, &self.family(&view), &view, *operator)?;
+            let family = self.family(&view);
+            let mut program = self.searcher().degraded(&family, &view, *operator)?;
             program.stats.search_ns = start.elapsed().as_nanos();
             Ok(CachedProgram::new(program, false))
         })?;
-        Ok(CompileReply::new(
-            slot,
-            outcome,
-            CompileGrade::Degraded,
-            poison_retries,
-        ))
+        Ok(CompileReply::new(slot, outcome, CompileGrade::Degraded, 0))
     }
 
     /// Counter snapshot of the program cache (hits, polymerizations,
@@ -640,31 +642,45 @@ impl MikPoly {
         self.launch_memo.stats()
     }
 
-    /// Checks the launch memo's structural invariants at quiescence (see
-    /// [`ShardedCache::check_invariants`]).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first violated invariant.
-    pub fn check_launch_memo(&self) -> Result<(), String> {
-        self.launch_memo.check_invariants()
-    }
-
     /// Counter snapshot of the kernel-family table: `computations` is
     /// the number of families built, one per (K, dtype, load scale) the
-    /// compiler has searched since its last reset.
+    /// compiler has searched or enumerated since its last reset.
     pub fn family_stats(&self) -> CacheStats {
         self.families.stats()
     }
 
-    /// Checks the kernel-family table's structural invariants at
-    /// quiescence (see [`ShardedCache::check_invariants`]).
+    /// Checks the structural invariants of the compiler's four tables —
+    /// the program cache, the degraded-plan cache, the launch memo and the
+    /// kernel-family table — at quiescence (see
+    /// [`ShardedCache::check_invariants`]), and that none holds more
+    /// entries than [`OnlineOptions::cache_capacity`] when one is set.
     ///
     /// # Errors
     ///
-    /// A description of the first violated invariant.
-    pub fn check_families(&self) -> Result<(), String> {
-        self.families.check_invariants()
+    /// A description of the first violated invariant, naming its table.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        fn check<K: Eq + Hash + Clone, V>(
+            name: &str,
+            table: &ShardedCache<K, V>,
+            capacity: Option<usize>,
+        ) -> Result<(), String> {
+            table
+                .check_invariants()
+                .map_err(|e| format!("{name}: {e}"))?;
+            let entries = table.stats().entries;
+            match capacity {
+                Some(capacity) if entries > capacity as u64 => Err(format!(
+                    "{name}: {entries} entries exceed the cache capacity {capacity}"
+                )),
+                _ => Ok(()),
+            }
+        }
+        // `ShardedCache::bounded` treats a capacity of zero as one.
+        let capacity = self.options.cache_capacity.map(|c| c.max(1));
+        check("program cache", &self.cache, capacity)?;
+        check("degraded-plan cache", &self.degraded, capacity)?;
+        check("launch memo", &self.launch_memo, capacity)?;
+        check("kernel-family table", &self.families, capacity)
     }
 
     /// Compiles a batch of operators, in parallel across OS threads, and
@@ -852,18 +868,10 @@ impl MikPoly {
             );
             let start = Instant::now();
             let family = self.family(&view);
-            let mut run = search_family(
-                &self.machine,
-                &family,
-                &view,
-                *operator,
-                &self.patterns,
-                self.options.cost_model,
-                self.options.prune,
-                &self.options.search,
-                budget.deadline.map(soft_deadline),
-                None,
-            )?;
+            let deadline = budget.deadline.map(soft_deadline);
+            let mut run = self
+                .searcher()
+                .polymerize(&family, &view, *operator, deadline, None)?;
             run.program.stats.search_ns = start.elapsed().as_nanos();
             if self.telemetry.is_enabled() {
                 let stats = &run.program.stats;
@@ -877,13 +885,7 @@ impl MikPoly {
             (run, family)
         };
         deadline_cut.set(run.deadline_cut);
-        let mut program = run.program;
-        if self.options.split_k
-            && self.options.cost_model == CostModelKind::Full
-            && !run.deadline_cut
-        {
-            program = split_k_family(&self.machine, &self.library, &family, &view, program);
-        }
+        let mut program = self.searcher().split_k(&family, run);
         if faults.is_some_and(|f| f.plan.corrupts_program(key, attempt)) {
             // Drop a region so `verify_coverage` fails: the poisoned
             // program is structurally plausible but provably incomplete.
@@ -1162,13 +1164,10 @@ impl MikPoly {
         let view = operator.gemm_view();
         let mut candidates = 0usize;
         let mut best: Option<(f64, CompiledProgram)> = None;
-        let truncated = crate::search::enumerate_strategies_capped(
-            &self.machine,
-            &self.library,
-            &view,
-            &self.patterns,
-            cap.max(1),
-            |pattern, regions| {
+        let family = self.family(&view);
+        let truncated = self
+            .searcher()
+            .enumerate(&family, &view, cap, |pattern, regions| {
                 candidates += 1;
                 let prog = CompiledProgram {
                     operator: *operator,
@@ -1183,8 +1182,7 @@ impl MikPoly {
                 if best.as_ref().is_none_or(|(b, _)| ns < *b) {
                     best = Some((ns, prog));
                 }
-            },
-        );
+            });
         if self.telemetry.is_enabled() {
             let registry = self.telemetry.registry();
             registry.counter("oracle.searches").inc();
@@ -1194,7 +1192,7 @@ impl MikPoly {
             }
         }
         let Some((ns, mut program)) = best else {
-            // `cap.max(1)` admits at least pattern I's first strategy.
+            // A cap of at least one admits pattern I's first strategy.
             unreachable!("enumeration visits at least one strategy");
         };
         program.predicted_ns = ns;
@@ -1205,6 +1203,55 @@ impl MikPoly {
             search: start.elapsed(),
         }
     }
+}
+
+/// Runs the online polymerization search once, outside any compiler:
+/// builds the view's kernel family (the library's per-kernel inputs for
+/// its K, dtype and load scale) for this one call and runs the same
+/// branch-and-bound a [`MikPoly`] configured with `patterns`, `kind`,
+/// `prune` and `policy` runs over its family table. `search_ns` includes
+/// the family build. With a deadline the search checks the clock every
+/// few dozen descents and, on expiry, returns the incumbent flagged
+/// [`SearchRun::deadline_cut`]. No split-K post-pass runs.
+///
+/// # Errors
+///
+/// * [`MikPolyError::DeadlineExceeded`] — the deadline fired before any
+///   complete strategy was costed (no incumbent to return);
+/// * [`MikPolyError::NoFeasibleStrategy`] — the library holds no kernel
+///   usable for this view (which cannot happen for libraries produced by
+///   [`MicroKernelLibrary::generate`] on the same machine).
+// The positional signature predates `MikPoly`'s search front door and is
+// kept for callers outside this workspace.
+#[allow(clippy::too_many_arguments)]
+pub fn try_polymerize(
+    machine: &MachineModel,
+    library: &MicroKernelLibrary,
+    view: &tensor_ir::GemmView,
+    operator: Operator,
+    patterns: &[Pattern],
+    kind: CostModelKind,
+    prune: bool,
+    policy: &SearchPolicy,
+    deadline: Option<Instant>,
+) -> Result<SearchRun, MikPolyError> {
+    let start = Instant::now();
+    let options = OnlineOptions {
+        cost_model: kind,
+        prune,
+        search: *policy,
+        ..OnlineOptions::default()
+    };
+    let searcher = Searcher {
+        machine,
+        library,
+        options: &options,
+        patterns,
+    };
+    let family = KernelFamily::new(machine, library, view);
+    let mut run = searcher.polymerize(&family, view, operator, deadline, None)?;
+    run.program.stats.search_ns = start.elapsed().as_nanos();
+    Ok(run)
 }
 
 /// How far before its end a stall stops sleeping and starts yielding.
@@ -1475,6 +1522,28 @@ mod fault_tests {
             .expect("degraded path");
         assert_eq!(again.outcome, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&again.program, &reply.program));
+    }
+
+    /// The degraded-plan cache shares the program cache's bound, and the
+    /// compiler's invariant check holds every table to it.
+    #[test]
+    fn degraded_plans_stay_within_the_cache_capacity() {
+        let c = compiler().with_options(OnlineOptions {
+            cache_capacity: Some(2),
+            ..OnlineOptions::default()
+        });
+        let degrade_only = CompileBudget {
+            degrade_only: true,
+            ..CompileBudget::default()
+        };
+        for i in 1..=16 {
+            let op = Operator::gemm(GemmShape::new(64 * i, 256, 128 * (i % 3 + 1)));
+            let reply = c.try_compile(&op, degrade_only).expect("degraded path");
+            assert_eq!(reply.outcome, CacheOutcome::Computed, "{op}");
+            assert!(reply.program.stats.degraded);
+            c.check_invariants().expect("every table within the bound");
+        }
+        assert!(c.degraded.stats().evictions > 0);
     }
 
     /// A fault context for `plan`.

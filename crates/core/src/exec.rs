@@ -118,10 +118,11 @@ fn fold_conv_output(shape: Conv2dShape, c: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::try_polymerize;
     use crate::cost::CostModelKind;
     use crate::offline::{MicroKernelLibrary, OfflineOptions};
     use crate::pattern::gpu_patterns;
-    use crate::search::{try_polymerize, SearchPolicy};
+    use crate::search::SearchPolicy;
     use accel_sim::MachineModel;
     use tensor_ir::{reference_conv2d, reference_gemm, GemmShape};
 

@@ -68,8 +68,8 @@ pub mod serving;
 pub use alloc::{lpt_makespan, makespan, max_min_assign};
 pub use cache::{CacheOutcome, CacheStats, ShardedCache};
 pub use compiler::{
-    shape_key, CompileBudget, CompileGrade, CompileReply, FaultInjection, LaunchKey, MikPoly,
-    OnlineOptions, OperatorRun, OracleResult,
+    shape_key, try_polymerize, CompileBudget, CompileGrade, CompileReply, FaultInjection,
+    LaunchKey, MikPoly, OnlineOptions, OperatorRun, OracleResult,
 };
 pub use cost::{f_pipe, f_wave, region_cost, CostModelKind};
 pub use engine::{ConvAlgorithm, Engine, EngineRun, GraphPlan, GraphRun, OpPlan};
@@ -89,10 +89,7 @@ pub use persist::{
 pub use plan::{CompiledProgram, CoverageError, Region, SearchStats};
 pub use recovery::{quarantine_file, BundleRestore, Manifest, RestoreOutcome, RestoreReport};
 pub use resilience::{BreakerDecision, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
-pub use search::{
-    enumerate_strategies, enumerate_strategies_capped, improve_with_split_k, polymerize_degraded,
-    try_polymerize, SearchPolicy, SearchRun,
-};
+pub use search::{SearchPolicy, SearchRun};
 pub use serving::{
     percentile, poisson_arrivals, BatchingOptions, Disposition, DispositionCounts, DrainReport,
     LatencySummary, Lifecycle, Request, RequestRecord, ServingOptions, ServingReport,

@@ -1,8 +1,8 @@
 //! Stage 1: candidate generation — the single source of truth for the
 //! polymerization strategy space.
 //!
-//! Both the pruned branch-and-bound search ([`super::try_polymerize`]) and the
-//! exhaustive conformance oracle ([`super::enumerate_strategies`]) walk the
+//! Both the pruned branch-and-bound search ([`super::Searcher::polymerize`])
+//! and the exhaustive oracle ([`super::Searcher::enumerate`]) walk the
 //! strategy space through this generator, so the searched space and the
 //! audited space are identical *by construction*: the oracle cannot
 //! "discover" a strategy the search was never offered, and a geometry bug

@@ -40,13 +40,23 @@
 //! built once per (K, dtype, load scale). Per shape the search only
 //! scores, sorts, promotes and walks.
 //!
-//! Under a serving deadline the search is *anytime*: [`try_polymerize`]
-//! takes an optional wall-clock deadline, checks it every few dozen
-//! descents, and on expiry stops exploring and returns the incumbent
-//! (flagged `deadline_cut`). When even pattern I's first strategy did not
-//! complete in time, it reports [`MikPolyError::DeadlineExceeded`] and the
-//! caller falls back to [`polymerize_degraded`] — a search-free
-//! single-region plan under the shape's shortlist-top-1 kernel.
+//! **One front door.** A [`Searcher`] is the compiler's configuration —
+//! its machine, library, [`OnlineOptions`] and resolved pattern list —
+//! and runs each of the search's four jobs over a view's family:
+//! the per-shape branch-and-bound ([`Searcher::polymerize`]), the
+//! degraded single-kernel plan ([`Searcher::degraded`]), the split-K
+//! post-pass ([`Searcher::split_k`]) and the oracle's strategy enumeration
+//! ([`Searcher::enumerate`]). [`crate::MikPoly`] is their only caller but
+//! for the standalone [`crate::try_polymerize`], which builds a family for
+//! one call and runs the same branch-and-bound.
+//!
+//! Under a serving deadline the search is *anytime*: it checks the wall
+//! clock every few dozen descents, and on expiry stops exploring and
+//! returns the incumbent (flagged `deadline_cut`). When even pattern I's
+//! first strategy did not complete in time, it reports
+//! [`MikPolyError::DeadlineExceeded`] and the compiler falls back to the
+//! degraded plan — a search-free single-region plan under the shape's
+//! shortlist-top-1 kernel.
 
 // Online hot path: failures must surface as typed errors, not panics.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -64,6 +74,7 @@ use accel_sim::{AllocationPolicy, MachineModel};
 use tensor_ir::GemmView;
 
 use crate::alloc::{lpt_makespan, pigeonhole_makespan_bound};
+use crate::compiler::OnlineOptions;
 use crate::cost::CostModelKind;
 use crate::error::MikPolyError;
 use crate::offline::MicroKernelLibrary;
@@ -76,8 +87,6 @@ use family::KernelFamily;
 use shortlist::OccupancyModel;
 
 pub use policy::SearchPolicy;
-pub use splitk::improve_with_split_k;
-pub(crate) use splitk::split_k_family;
 
 /// How often the branch-and-bound walk consults the wall clock when a
 /// deadline is set: every this-many admitted descents. Cheap enough to
@@ -303,254 +312,243 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
     }
 }
 
-/// Runs the online polymerization search and returns the optimized tensor
-/// program `S*`. With a deadline the search checks the clock every
-/// [`DEADLINE_CHECK_INTERVAL`] descents and, on expiry, returns the
-/// incumbent flagged [`SearchRun::deadline_cut`]. Builds the view's
-/// kernel family (the library's per-kernel inputs for its K, dtype and
-/// load scale) for this one call; a [`crate::MikPoly`] keeps its families
-/// in a table and runs the same search over them. Errors:
-///
-/// * [`MikPolyError::DeadlineExceeded`] — the deadline fired before any
-///   complete strategy was costed (no incumbent to return);
-/// * [`MikPolyError::NoFeasibleStrategy`] — the library holds no kernel
-///   usable for this view (which cannot happen for libraries produced by
-///   [`MicroKernelLibrary::generate`] on the same machine).
-#[allow(clippy::too_many_arguments)]
-pub fn try_polymerize(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    deadline: Option<Instant>,
-) -> Result<SearchRun, MikPolyError> {
-    try_polymerize_observed(
-        machine, library, view, operator, patterns, kind, prune, policy, deadline, None,
-    )
+/// The compiler's search configuration: everything the search's four
+/// jobs read besides the view's [`KernelFamily`] and the shape. Built from
+/// a [`crate::MikPoly`]'s fields (or, by [`crate::try_polymerize`], from
+/// its arguments) for each call; it only borrows.
+#[derive(Clone, Copy)]
+pub(crate) struct Searcher<'a> {
+    pub(crate) machine: &'a MachineModel,
+    pub(crate) library: &'a MicroKernelLibrary,
+    pub(crate) options: &'a OnlineOptions,
+    /// The patterns to try: a compiler's `options.patterns`, resolved
+    /// against the machine.
+    pub(crate) patterns: &'a [Pattern],
 }
 
-/// [`try_polymerize`] with a hook that observes every complete strategy
-/// the search visits — the instrument behind the oracle-superset test and
-/// gap attributions.
-#[allow(clippy::too_many_arguments)]
-fn try_polymerize_observed(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    deadline: Option<Instant>,
-    observer: Option<StrategyObserver<'_>>,
-) -> Result<SearchRun, MikPolyError> {
-    let start = Instant::now();
-    let family = KernelFamily::new(machine, library, view);
-    let mut run = search_family(
-        machine, &family, view, operator, patterns, kind, prune, policy, deadline, observer,
-    )?;
-    run.program.stats.search_ns = start.elapsed().as_nanos();
-    Ok(run)
-}
+impl Searcher<'_> {
+    /// The per-shape half of the search over the view's `family`, which
+    /// must be the view's family of the library: the shape-aware kernel
+    /// order, then the branch-and-bound walk, returning the optimized
+    /// tensor program `S*`. With a deadline the walk checks the clock
+    /// every `DEADLINE_CHECK_INTERVAL` descents and, on expiry, returns
+    /// the incumbent flagged [`SearchRun::deadline_cut`]. `observer` sees
+    /// every complete strategy visited. Leaves [`SearchStats::search_ns`]
+    /// for the caller, who times the family lookup too. Fails as
+    /// [`crate::try_polymerize`] does.
+    pub(crate) fn polymerize(
+        &self,
+        family: &KernelFamily,
+        view: &GemmView,
+        operator: tensor_ir::Operator,
+        deadline: Option<Instant>,
+        observer: Option<StrategyObserver<'_>>,
+    ) -> Result<SearchRun, MikPolyError> {
+        if family.is_empty() {
+            return Err(MikPolyError::NoFeasibleStrategy { operator });
+        }
+        let (machine, policy, kind) = (self.machine, &self.options.search, self.options.cost_model);
+        let prune = self.options.prune;
+        let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
 
-/// The per-shape half of the search over a view's [`KernelFamily`]: the
-/// shape-aware kernel order, then the branch-and-bound walk. Leaves
-/// [`SearchStats::search_ns`] for the caller, who times the family lookup
-/// too.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search_family(
-    machine: &MachineModel,
-    family: &KernelFamily,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    deadline: Option<Instant>,
-    observer: Option<StrategyObserver<'_>>,
-) -> Result<SearchRun, MikPolyError> {
-    if family.is_empty() {
-        return Err(MikPolyError::NoFeasibleStrategy { operator });
-    }
-    let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
+        // Stage 2: shape-aware ordering with stratified-diversity promotion.
+        let (m, n) = (view.shape.m, view.shape.n);
+        let order = shortlist::shape_order(family, machine.num_pes, m, n, policy.shortlist);
+        let kernels: Vec<_> = order.iter().map(|&i| family.kernels[i]).collect();
+        let pipe: Vec<f64> = order.iter().map(|&i| family.pipe[i]).collect();
 
-    // Stage 2: shape-aware ordering with stratified-diversity promotion.
-    let (m, n) = (view.shape.m, view.shape.n);
-    let order = shortlist::shape_order(family, machine.num_pes, m, n, policy.shortlist);
-    let kernels: Vec<_> = order.iter().map(|&i| family.kernels[i]).collect();
-    let pipe: Vec<f64> = order.iter().map(|&i| family.pipe[i]).collect();
+        let eval = CostEval::new(machine, family.best_rate, &pipe, view, kind);
+        // Stage 4 applies on dynamically scheduled machines under the full
+        // model: static placement already costs leaves exactly (LPT), and
+        // the ablated models must keep their deliberately-ablated selection.
+        let refine = policy.refine && !static_alloc && kind == CostModelKind::Full;
+        let occ = family
+            .occupancy
+            .as_ref()
+            .filter(|_| refine)
+            .map(|o| o.permuted(&order));
 
-    let eval = CostEval::new(machine, family.best_rate, &pipe, view, kind);
-    // Stage 4 applies on dynamically scheduled machines under the full
-    // model: static placement already costs leaves exactly (LPT), and the
-    // ablated models must keep their deliberately-ablated selection.
-    let refine = policy.refine && !static_alloc && kind == CostModelKind::Full;
-    let occ = family
-        .occupancy
-        .as_ref()
-        .filter(|_| refine)
-        .map(|o| o.permuted(&order));
-
-    let mut stats = SearchStats {
-        patterns_tried: patterns.len(),
-        ..SearchStats::default()
-    };
-    // The visitor persists across escalation rounds: an escalated round
-    // re-walks the (larger) space with the previous round's incumbents
-    // already in place, so revisited prefixes prune immediately.
-    let mut visitor = BnbVisitor::new(
-        &eval,
-        occ.as_ref(),
-        prune,
-        policy.prune_margin,
-        deadline,
-        observer,
-    );
-    let mut round = 0usize;
-    loop {
-        let budget = if prune {
-            policy.budget_for(round)
-        } else {
-            usize::MAX
+        let mut stats = SearchStats {
+            patterns_tried: self.patterns.len(),
+            ..SearchStats::default()
         };
-        let deep_limit = policy.shortlist_for(round).min(kernels.len());
-        let mut generator = Generator::new(&kernels, m, n, budget);
-        for pattern in patterns {
-            let limit = if pattern.num_regions() >= 3 {
-                if deep_limit < kernels.len() {
-                    stats.shortlist_truncated += 1;
-                }
-                deep_limit
+        // The visitor persists across escalation rounds: an escalated round
+        // re-walks the (larger) space with the previous round's incumbents
+        // already in place, so revisited prefixes prune immediately.
+        let mut visitor = BnbVisitor::new(
+            &eval,
+            occ.as_ref(),
+            prune,
+            policy.prune_margin,
+            deadline,
+            observer,
+        );
+        let mut round = 0usize;
+        loop {
+            let budget = if prune {
+                policy.budget_for(round)
             } else {
-                kernels.len()
+                usize::MAX
             };
-            generator.run_pattern(pattern, limit, &mut visitor);
-        }
-        let exhausted = generator.exhausted();
-        if exhausted {
-            stats.budget_exhausted += 1;
-        }
-        // Stage 5: escalate only while the budget is the binding
-        // constraint *and* the incumbent is demonstrably far from the
-        // shape's admissible lower bound. A blown deadline trumps both:
-        // escalation would only dig the hole deeper.
-        if exhausted && prune && !visitor.deadline_cut && round < policy.max_escalations {
-            let floor = eval.lower_bound(Partial::default(), m);
-            let incumbent = visitor.best_cost();
-            if floor > 0.0 && incumbent > floor * policy.escalate_ratio {
-                round += 1;
-                stats.escalations += 1;
-                continue;
+            let deep_limit = policy.shortlist_for(round).min(kernels.len());
+            let mut generator = Generator::new(&kernels, m, n, budget);
+            for pattern in self.patterns {
+                let limit = if pattern.num_regions() >= 3 {
+                    if deep_limit < kernels.len() {
+                        stats.shortlist_truncated += 1;
+                    }
+                    deep_limit
+                } else {
+                    kernels.len()
+                };
+                generator.run_pattern(pattern, limit, &mut visitor);
             }
+            let exhausted = generator.exhausted();
+            if exhausted {
+                stats.budget_exhausted += 1;
+            }
+            // Stage 5: escalate only while the budget is the binding
+            // constraint *and* the incumbent is demonstrably far from the
+            // shape's admissible lower bound. A blown deadline trumps both:
+            // escalation would only dig the hole deeper.
+            if exhausted && prune && !visitor.deadline_cut && round < policy.max_escalations {
+                let floor = eval.lower_bound(Partial::default(), m);
+                let incumbent = visitor.best_cost();
+                if floor > 0.0 && incumbent > floor * policy.escalate_ratio {
+                    round += 1;
+                    stats.escalations += 1;
+                    continue;
+                }
+            }
+            break;
         }
-        break;
-    }
-    stats.strategies_evaluated = visitor.evaluated;
-    stats.strategies_pruned = visitor.pruned;
-    let deadline_cut = visitor.deadline_cut;
-    let (best, best_eff) = (visitor.best, visitor.best_eff);
+        stats.strategies_evaluated = visitor.evaluated;
+        stats.strategies_pruned = visitor.pruned;
+        let deadline_cut = visitor.deadline_cut;
+        let (best, best_eff) = (visitor.best, visitor.best_eff);
 
-    // Pattern I always yields at least one strategy, so an empty incumbent
-    // means the deadline fired before even that first strategy completed.
-    let Some(model_best) = best else {
-        return Err(MikPolyError::DeadlineExceeded { operator });
-    };
-    let chosen = match best_eff {
-        Some(eff_best) if refine => {
-            stats.refined =
-                eff_best.pattern != model_best.pattern || eff_best.regions != model_best.regions;
-            eff_best
-        }
-        _ => model_best,
-    };
-    Ok(SearchRun {
-        program: CompiledProgram {
+        // Pattern I always yields at least one strategy, so an empty
+        // incumbent means the deadline fired before even that first
+        // strategy completed.
+        let Some(model_best) = best else {
+            return Err(MikPolyError::DeadlineExceeded { operator });
+        };
+        let chosen = match best_eff {
+            Some(eff_best) if refine => {
+                stats.refined = eff_best.pattern != model_best.pattern
+                    || eff_best.regions != model_best.regions;
+                eff_best
+            }
+            _ => model_best,
+        };
+        Ok(SearchRun {
+            program: CompiledProgram {
+                operator,
+                view: *view,
+                pattern: chosen.pattern,
+                regions: chosen.regions,
+                split_k: 1,
+                predicted_ns: chosen.model_cost,
+                stats,
+            },
+            deadline_cut,
+        })
+    }
+
+    /// The search-free degraded compile path: a single region covering
+    /// the whole output under the shape's shortlist-top-1 micro-kernel.
+    /// This is the bottom rung of the degradation ladder — taken when the
+    /// deadline left no room for any search, or when a shape's circuit
+    /// breaker is open. The resulting program is coverage-complete and
+    /// numerically identical to a full-search program (only slower), and
+    /// its [`SearchStats::degraded`] flag is set so it is never mistaken
+    /// for a searched plan. Leaves [`SearchStats::search_ns`] for the
+    /// caller.
+    pub(crate) fn degraded(
+        &self,
+        family: &KernelFamily,
+        view: &GemmView,
+        operator: tensor_ir::Operator,
+    ) -> Result<CompiledProgram, MikPolyError> {
+        let machine = self.machine;
+        // Rank with the same shape-aware ordering the full search uses, but
+        // keep only the head: one kernel, one region, zero search.
+        let (m, n) = (view.shape.m, view.shape.n);
+        let order = shortlist::shape_order(family, machine.num_pes, m, n, 1);
+        let Some(&top) = order.first() else {
+            return Err(MikPolyError::NoFeasibleStrategy { operator });
+        };
+        let region = Region::new(0, m, 0, n, family.kernels[top]);
+
+        // Cost the plan as the full search costs its leaves so
+        // `predicted_ns` stays comparable across grades.
+        let eval = CostEval::new(
+            machine,
+            family.best_rate,
+            &family.pipe,
+            view,
+            CostModelKind::Full,
+        );
+        let predicted_ns = if eval.lpt_leaves() {
+            lpt_makespan(&[(family.pipe[top], region.tasks())], machine.num_pes)
+        } else {
+            eval.finish(eval.extend(Partial::default(), &region, top))
+        };
+
+        let stats = SearchStats {
+            strategies_evaluated: 1,
+            patterns_tried: 1,
+            degraded: true,
+            ..SearchStats::default()
+        };
+        Ok(CompiledProgram {
             operator,
             view: *view,
-            pattern: chosen.pattern,
-            regions: chosen.regions,
+            pattern: PatternId(1),
+            regions: vec![region],
             split_k: 1,
-            predicted_ns: chosen.model_cost,
+            predicted_ns,
             stats,
-        },
-        deadline_cut,
-    })
-}
+        })
+    }
 
-/// The search-free degraded compile path: a single region covering the
-/// whole output under the shape's shortlist-top-1 micro-kernel. This is
-/// the bottom rung of the degradation ladder — taken when the deadline
-/// left no room for any search, or when a shape's circuit breaker is open.
-/// The resulting program is coverage-complete and numerically identical to
-/// a full-search program (only slower), and its
-/// [`SearchStats::degraded`] flag is set so it is never mistaken for a
-/// searched plan.
-pub fn polymerize_degraded(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-) -> Result<CompiledProgram, MikPolyError> {
-    let start = Instant::now();
-    let family = KernelFamily::new(machine, library, view);
-    let mut program = degraded_family(machine, &family, view, operator)?;
-    program.stats.search_ns = start.elapsed().as_nanos();
-    Ok(program)
-}
-
-/// [`polymerize_degraded`] over a view's [`KernelFamily`]; leaves
-/// [`SearchStats::search_ns`] for the caller.
-pub(crate) fn degraded_family(
-    machine: &MachineModel,
-    family: &KernelFamily,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-) -> Result<CompiledProgram, MikPolyError> {
-    // Rank with the same shape-aware ordering the full search uses, but
-    // keep only the head: one kernel, one region, zero search.
-    let (m, n) = (view.shape.m, view.shape.n);
-    let order = shortlist::shape_order(family, machine.num_pes, m, n, 1);
-    let Some(&top) = order.first() else {
-        return Err(MikPolyError::NoFeasibleStrategy { operator });
-    };
-    let region = Region::new(0, m, 0, n, family.kernels[top]);
-
-    // Cost the plan as the full search costs its leaves so `predicted_ns`
-    // stays comparable across grades.
-    let eval = CostEval::new(
-        machine,
-        family.best_rate,
-        &family.pipe,
-        view,
-        CostModelKind::Full,
-    );
-    let predicted_ns = if eval.lpt_leaves() {
-        lpt_makespan(&[(family.pipe[top], region.tasks())], machine.num_pes)
-    } else {
-        eval.finish(eval.extend(Partial::default(), &region, top))
-    };
-
-    let stats = SearchStats {
-        strategies_evaluated: 1,
-        patterns_tried: 1,
-        degraded: true,
-        ..SearchStats::default()
-    };
-    Ok(CompiledProgram {
-        operator,
-        view: *view,
-        pattern: PatternId(1),
-        regions: vec![region],
-        split_k: 1,
-        predicted_ns,
-        stats,
-    })
+    /// Enumerates the polymerization strategies of every pattern (no
+    /// pruning, no shortlist), invoking the callback with each complete
+    /// region list, and returns `true` when the walk stopped after `cap`
+    /// descents before covering the space. The Oracle of Fig. 12(b) and
+    /// the conformance subsystem simulate every candidate instead of
+    /// trusting the cost model. Kernels are visited in the library's rank
+    /// order, so even a truncated enumeration sees the plausible
+    /// candidates first; and because the walk goes through the same
+    /// [`candidates::Generator`] as [`Searcher::polymerize`], the
+    /// enumerated space is a superset of anything the pruned search can
+    /// visit.
+    ///
+    /// # Panics
+    ///
+    /// When no library kernel is usable for the view.
+    pub(crate) fn enumerate(
+        &self,
+        family: &KernelFamily,
+        view: &GemmView,
+        cap: usize,
+        mut cb: impl FnMut(PatternId, &[Region]),
+    ) -> bool {
+        assert!(
+            !family.is_empty(),
+            "micro-kernel library for {} has no kernel usable for {:?} on {}",
+            self.library.machine,
+            view.shape,
+            self.machine.name
+        );
+        let kernels = &family.kernels;
+        let mut generator = Generator::new(kernels, view.shape.m, view.shape.n, cap.max(1));
+        let mut visitor = EnumerateVisitor { cb: &mut cb };
+        for pattern in self.patterns {
+            generator.run_pattern(pattern, kernels.len(), &mut visitor);
+        }
+        generator.exhausted()
+    }
 }
 
 /// The enumeration consumer of the candidate generator: no costs, no
@@ -569,59 +567,11 @@ impl StrategyVisitor for EnumerateVisitor<'_> {
     }
 }
 
-/// Enumerates every polymerization strategy (no pruning, no shortlist),
-/// invoking the callback with each complete region list. Used by the
-/// Oracle variant of Fig. 12(b), which simulates every candidate instead
-/// of trusting the cost model. Because the walk goes through the same
-/// [`candidates::Generator`] as [`try_polymerize`], the enumerated space is a
-/// superset of anything the pruned search can visit.
-pub fn enumerate_strategies(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    patterns: &[Pattern],
-    cb: impl FnMut(PatternId, &[Region]),
-) {
-    enumerate_strategies_capped(machine, library, view, patterns, usize::MAX, cb);
-}
-
-/// Like [`enumerate_strategies`], but the walk visits at most `cap`
-/// descents before giving up on the remaining strategy space. Returns
-/// `true` when the enumeration was truncated by the cap.
-///
-/// The conformance oracle uses this to bound exhaustive searches on
-/// shapes whose strategy space explodes: the kernels are visited in the
-/// library's rank order, so even a truncated enumeration sees the
-/// plausible candidates first.
-pub fn enumerate_strategies_capped(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    patterns: &[Pattern],
-    cap: usize,
-    mut cb: impl FnMut(PatternId, &[Region]),
-) -> bool {
-    let family = KernelFamily::new(machine, library, view);
-    assert!(
-        !family.is_empty(),
-        "micro-kernel library for {} has no kernel usable for {:?} on {}",
-        library.machine,
-        view.shape,
-        machine.name
-    );
-    let kernels = &family.kernels;
-    let mut generator = Generator::new(kernels, view.shape.m, view.shape.n, cap.max(1));
-    let mut visitor = EnumerateVisitor { cb: &mut cb };
-    for pattern in patterns {
-        generator.run_pattern(pattern, kernels.len(), &mut visitor);
-    }
-    generator.exhausted()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::compiler::try_polymerize;
     use crate::offline::OfflineOptions;
     use crate::pattern::{all_patterns, gpu_patterns};
     use tensor_ir::{GemmShape, Operator};
@@ -657,6 +607,46 @@ mod tests {
         )
         .expect("a deadline-free search over a generated library cannot fail")
         .program
+    }
+
+    /// Every strategy of `patterns` for `view`, enumerated over the view's
+    /// family without a cap.
+    fn enumerate(
+        machine: &MachineModel,
+        library: &MicroKernelLibrary,
+        view: &GemmView,
+        patterns: &[Pattern],
+        cb: impl FnMut(PatternId, &[Region]),
+    ) {
+        let options = OnlineOptions::default();
+        let searcher = Searcher {
+            machine,
+            library,
+            options: &options,
+            patterns,
+        };
+        let family = KernelFamily::new(machine, library, view);
+        searcher.enumerate(&family, view, usize::MAX, cb);
+    }
+
+    /// The degraded plan for `operator`, over its view's family.
+    fn degraded(
+        machine: &MachineModel,
+        library: &MicroKernelLibrary,
+        operator: Operator,
+    ) -> CompiledProgram {
+        let view = operator.gemm_view();
+        let options = OnlineOptions::default();
+        let searcher = Searcher {
+            machine,
+            library,
+            options: &options,
+            patterns: &[],
+        };
+        let family = KernelFamily::new(machine, library, &view);
+        searcher
+            .degraded(&family, &view, operator)
+            .expect("generated library always has a usable kernel")
     }
 
     fn compile(m: &MachineModel, lib: &MicroKernelLibrary, shape: GemmShape) -> CompiledProgram {
@@ -820,7 +810,7 @@ mod tests {
         let (m, lib) = setup();
         let op = Operator::gemm(GemmShape::new(512, 512, 512));
         let mut count = 0usize;
-        enumerate_strategies(
+        enumerate(
             &m,
             &lib,
             &op.gemm_view(),
@@ -895,25 +885,23 @@ mod tests {
             let view = op.gemm_view();
 
             let mut oracle_space = std::collections::HashSet::new();
-            enumerate_strategies(&machine, &lib, &view, &patterns, |p, r| {
+            enumerate(&machine, &lib, &view, &patterns, |p, r| {
                 oracle_space.insert(key(p, r));
             });
 
             let mut visited = Vec::new();
             let mut observer = |p: PatternId, r: &[Region]| visited.push(key(p, r));
-            try_polymerize_observed(
-                &machine,
-                &lib,
-                &view,
-                op,
-                &patterns,
-                CostModelKind::Full,
-                true,
-                &SearchPolicy::default(),
-                None,
-                Some(&mut observer),
-            )
-            .expect("search");
+            let options = OnlineOptions::default();
+            let searcher = Searcher {
+                machine: &machine,
+                library: &lib,
+                options: &options,
+                patterns: &patterns,
+            };
+            let family = KernelFamily::new(&machine, &lib, &view);
+            searcher
+                .polymerize(&family, &view, op, None, Some(&mut observer))
+                .expect("search");
             assert!(!visited.is_empty());
             for v in &visited {
                 assert!(
@@ -966,7 +954,7 @@ mod tests {
                         .expect("an enumerated region uses a usable kernel")
                 };
                 let mut strategies = 0usize;
-                enumerate_strategies(&machine, &lib, &view, &patterns, |_, regions| {
+                enumerate(&machine, &lib, &view, &patterns, |_, regions| {
                     strategies += 1;
                     let mut partial = Partial::default();
                     let mut groups = Vec::new();
@@ -1029,7 +1017,7 @@ mod tests {
             prog.verify_coverage().expect("coverage");
             assert!(prog.predicted_ns.is_finite() && prog.predicted_ns > 0.0);
             let mut in_space = false;
-            enumerate_strategies(&m, &lib, &view, &gpu_patterns(), |p, r| {
+            enumerate(&m, &lib, &view, &gpu_patterns(), |p, r| {
                 if p == prog.pattern && r == prog.regions.as_slice() {
                     in_space = true;
                 }
@@ -1089,8 +1077,7 @@ mod tests {
         let (m, lib) = setup();
         for &(mm, nn, kk) in &[(4096, 1024, 4096), (105, 1024, 544), (1, 1, 1)] {
             let op = Operator::gemm(GemmShape::new(mm, nn, kk));
-            let prog = polymerize_degraded(&m, &lib, &op.gemm_view(), op)
-                .expect("generated library always has a usable kernel");
+            let prog = degraded(&m, &lib, op);
             assert_eq!(prog.regions.len(), 1, "degraded plan is one region");
             prog.verify_coverage().expect("coverage");
             assert!(prog.stats.degraded, "degraded plans must say so");
@@ -1116,7 +1103,7 @@ mod tests {
         o.n_gen = 4;
         let lib = MicroKernelLibrary::generate(&m, &o);
         let op = Operator::gemm(GemmShape::new(135, 768, 768));
-        let prog = polymerize_degraded(&m, &lib, &op.gemm_view(), op).expect("degraded plan");
+        let prog = degraded(&m, &lib, op);
         let region = prog.regions[0];
         let task_ns = lib
             .get(region.kernel.id)

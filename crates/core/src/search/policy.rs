@@ -5,6 +5,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Node-budget multiplier applied per escalation round.
+const ESCALATE_BUDGET_FACTOR: usize = 4;
+
+/// Deep-pattern shortlist multiplier applied per escalation round.
+const ESCALATE_SHORTLIST_FACTOR: usize = 2;
+
 /// Configuration of the staged polymerization search. The defaults
 /// reproduce the paper's search-narrowing heuristics (Algorithm 1) with
 /// the adaptive extensions of this crate; every field was previously a
@@ -35,10 +41,6 @@ pub struct SearchPolicy {
     /// than `escalate_ratio` times the shape's admissible lower bound —
     /// a cheap proxy for "the budget, not the library, is the limiter".
     pub escalate_ratio: f64,
-    /// Node-budget multiplier applied per escalation round.
-    pub escalate_budget_factor: usize,
-    /// Deep-pattern shortlist multiplier applied per escalation round.
-    pub escalate_shortlist_factor: usize,
     /// Maximum escalation rounds per shape (bounds worst-case latency).
     pub max_escalations: usize,
 }
@@ -51,8 +53,6 @@ impl Default for SearchPolicy {
             prune_margin: 0.995,
             refine: true,
             escalate_ratio: 1.10,
-            escalate_budget_factor: 4,
-            escalate_shortlist_factor: 2,
             max_escalations: 2,
         }
     }
@@ -73,20 +73,14 @@ impl SearchPolicy {
 
     /// The effective node budget for escalation round `round` (0-based).
     pub(crate) fn budget_for(&self, round: usize) -> usize {
-        let factor = self
-            .escalate_budget_factor
-            .max(1)
-            .saturating_pow(round as u32);
+        let factor = ESCALATE_BUDGET_FACTOR.saturating_pow(round as u32);
         self.node_budget.saturating_mul(factor).max(1)
     }
 
     /// The effective deep-pattern shortlist size for escalation round
     /// `round`, clamped to the usable-kernel count by the generator.
     pub(crate) fn shortlist_for(&self, round: usize) -> usize {
-        let factor = self
-            .escalate_shortlist_factor
-            .max(1)
-            .saturating_pow(round as u32);
+        let factor = ESCALATE_SHORTLIST_FACTOR.saturating_pow(round as u32);
         self.shortlist.saturating_mul(factor).max(1)
     }
 }

@@ -11,7 +11,7 @@
 //! co-residency is invisible to `f_wave`. The occupancy-aware estimator
 //! here folds both effects into a closed form that stays O(1) per region,
 //! so it can rank kernels per shape *and* re-rank complete strategies (the
-//! selection-refinement step in [`super::try_polymerize`]) without touching
+//! selection-refinement step in [`super::Searcher::polymerize`]) without touching
 //! the simulator on the online path.
 
 use accel_sim::MachineModel;

@@ -7,7 +7,7 @@
 //!   arrival order from a shared cursor, and admission is decided exactly
 //!   once, here: a request that arrived past the drain point, or whose
 //!   deadline passed before it arrived, is shed uncompiled. Every other
-//!   request goes through [`ServingRuntime::compile_request`]: breaker
+//!   request goes through `ServingRuntime::compile_request`: breaker
 //!   check, panic-isolated budgeted compile, degraded fallback, and the
 //!   deterministic device-fault retry schedule. Under the solo policy the
 //!   cursor runs at most one request per worker past the oldest

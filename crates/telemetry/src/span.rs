@@ -3,7 +3,7 @@
 //!
 //! Two kinds of span reach the sink:
 //!
-//! - **Host spans** ([`SpanGuard`], usually via the [`span!`](crate::span!)
+//! - **Host spans** ([`SpanGuard`](crate::SpanGuard), usually via the [`span!`](crate::span!)
 //!   macro) time a real-clock region on the current OS thread. Nesting is
 //!   tracked with a per-thread depth counter and, for export, by time
 //!   containment on the thread's lane.

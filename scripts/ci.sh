@@ -18,6 +18,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+# Rustdoc: a broken or private intra-doc link in public docs fails CI.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release --workspace"
 cargo build --release --offline --workspace
 

@@ -3,18 +3,19 @@
 //! A `MikPoly` computes the shape-invariant half of its search (the
 //! usable kernels, `f_pipe`, occupancy profiles, tile strata and the
 //! bound's best FLOP rate) once per (K, dtype, load scale) and keeps it in
-//! a bounded table. The free `try_polymerize`, `polymerize_degraded` and
-//! `improve_with_split_k` build the same family for one call. This test
-//! checks that both paths compile identical programs on both machines —
-//! cold BERT projections walked over M, a split-K shape and a
-//! convolution — and that the table computes one family per K, stays
-//! within its bound, and resets with the options.
+//! a bounded table. This test checks that a long-lived compiler, whose
+//! table is warm, compiles exactly the programs of a fresh compiler per
+//! shape, whose table is cold, on both machines: the full, degraded and
+//! split-K rungs over cold BERT projections walked over M, a split-K
+//! shape and convolutions. The standalone `try_polymerize` builds a
+//! family for one call and must agree with the compiler's search, and the
+//! oracle enumerates over the table. The table computes one family per K,
+//! stays within its bound, and resets with the options.
 
 use mikpoly_suite::accel_sim::{AllocationPolicy, MachineModel};
 use mikpoly_suite::mikpoly::{
-    default_patterns, improve_with_split_k, polymerize_degraded, try_polymerize, CompileBudget,
-    CompiledProgram, CostModelKind, MicroKernelLibrary, MikPoly, OfflineOptions, OnlineOptions,
-    SearchPolicy, SearchStats, TemplateKind, TileStratum,
+    default_patterns, try_polymerize, CompileBudget, CompiledProgram, MicroKernelLibrary, MikPoly,
+    OfflineOptions, OnlineOptions, SearchPolicy, SearchStats, TemplateKind, TileStratum,
 };
 use mikpoly_suite::tensor_ir::{Conv2dShape, GemmShape, Operator};
 
@@ -39,19 +40,27 @@ fn library(machine: &MachineModel, template: TemplateKind) -> MicroKernelLibrary
     MicroKernelLibrary::generate(machine, &OfflineOptions::fast().with_template(template))
 }
 
-/// The program the free functions compile for `op` under the compiler's
-/// own options: the search, then split-K where the compiler enables it.
-fn free_program(compiler: &MikPoly, op: &Operator) -> CompiledProgram {
-    let (machine, library, options) = (compiler.machine(), compiler.library(), compiler.options());
+/// The program a fresh compiler with `compiler`'s library and options, so
+/// a cold family table, compiles for `op` under `budget`.
+fn fresh_program(compiler: &MikPoly, op: &Operator, budget: CompileBudget) -> CompiledProgram {
+    let fresh = MikPoly::with_library(compiler.machine().clone(), compiler.library().clone())
+        .with_options(compiler.options().clone());
+    let reply = fresh.try_compile(op, budget).expect("cold shapes compile");
+    (*reply.program).clone()
+}
+
+/// The standalone search's program for `op` under the compiler's options
+/// (which must not enable split-K: the standalone search has no post-pass).
+fn standalone_program(compiler: &MikPoly, op: &Operator) -> CompiledProgram {
+    let (machine, options) = (compiler.machine(), compiler.options());
     let patterns = options
         .patterns
         .clone()
         .unwrap_or_else(|| default_patterns(machine));
-    let view = op.gemm_view();
-    let program = try_polymerize(
+    try_polymerize(
         machine,
-        library,
-        &view,
+        compiler.library(),
+        &op.gemm_view(),
         *op,
         &patterns,
         options.cost_model,
@@ -60,12 +69,7 @@ fn free_program(compiler: &MikPoly, op: &Operator) -> CompiledProgram {
         None,
     )
     .expect("a deadline-free search over a generated library cannot fail")
-    .program;
-    if options.split_k && options.cost_model == CostModelKind::Full {
-        improve_with_split_k(machine, library, &view, program)
-    } else {
-        program
-    }
+    .program
 }
 
 /// Every field of the program but the host-timed `search_ns`.
@@ -85,8 +89,8 @@ fn decisions(program: &CompiledProgram) -> impl PartialEq + std::fmt::Debug {
 }
 
 /// Compiles `op` through the compiler's full and degraded rungs, checks
-/// both against the free functions, and returns the full program.
-fn assert_matches_free_functions(compiler: &MikPoly, op: &Operator) -> CompiledProgram {
+/// both against a fresh compiler, and returns the full program.
+fn assert_matches_a_fresh_compiler(compiler: &MikPoly, op: &Operator) -> CompiledProgram {
     let name = &compiler.machine().name;
     let full = compiler
         .try_compile(op, CompileBudget::default())
@@ -94,7 +98,7 @@ fn assert_matches_free_functions(compiler: &MikPoly, op: &Operator) -> CompiledP
         .program;
     assert_eq!(
         decisions(&full),
-        decisions(&free_program(compiler, op)),
+        decisions(&fresh_program(compiler, op, CompileBudget::default())),
         "{name} {op}: full search"
     );
     let degraded_only = CompileBudget {
@@ -105,12 +109,9 @@ fn assert_matches_free_functions(compiler: &MikPoly, op: &Operator) -> CompiledP
         .try_compile(op, degraded_only)
         .expect("the degraded path cannot fail")
         .program;
-    let free_degraded =
-        polymerize_degraded(compiler.machine(), compiler.library(), &op.gemm_view(), *op)
-            .expect("the degraded path cannot fail");
     assert_eq!(
         decisions(&degraded),
-        decisions(&free_degraded),
+        decisions(&fresh_program(compiler, op, degraded_only)),
         "{name} {op}: degraded path"
     );
     (*full).clone()
@@ -135,7 +136,13 @@ fn bert_walk_compiles_the_free_search_programs_from_two_families() {
                 MikPoly::with_library(machine.clone(), lib.clone()).with_options(options);
             let (mut shapes, mut truncated) = (0u64, 0usize);
             for op in bert_walk() {
-                let program = assert_matches_free_functions(&compiler, &op);
+                let program = assert_matches_a_fresh_compiler(&compiler, &op);
+                assert_eq!(
+                    decisions(&program),
+                    decisions(&standalone_program(&compiler, &op)),
+                    "{} {op}: standalone search",
+                    machine.name
+                );
                 truncated += program.stats.shortlist_truncated;
                 shapes += 1;
             }
@@ -149,7 +156,9 @@ fn bert_walk_compiles_the_free_search_programs_from_two_families() {
                 machine.name
             );
             assert_eq!(families.entries, 2);
-            compiler.check_families().expect("family table invariants");
+            compiler
+                .check_invariants()
+                .expect("compiler table invariants");
             // The program cache counts programs only.
             let programs = compiler.cache_stats();
             assert_eq!(programs.computations, shapes);
@@ -159,7 +168,7 @@ fn bert_walk_compiles_the_free_search_programs_from_two_families() {
 }
 
 #[test]
-fn split_k_and_convolution_programs_match_the_free_functions() {
+fn split_k_and_convolution_programs_match_a_fresh_compiler() {
     let machine = MachineModel::a100();
     let split = MikPoly::with_library(machine.clone(), library(&machine, TemplateKind::Gemm))
         .with_options(OnlineOptions {
@@ -167,7 +176,7 @@ fn split_k_and_convolution_programs_match_the_free_functions() {
             ..OnlineOptions::default()
         });
     let deep = Operator::gemm(GemmShape::new(64, 64, 100_000));
-    assert_matches_free_functions(&split, &deep);
+    assert_matches_a_fresh_compiler(&split, &deep);
     assert!(split.compile(&deep).split_k > 1, "split-K must fire");
 
     for machine in [MachineModel::a100(), MachineModel::ascend910a()] {
@@ -180,10 +189,55 @@ fn split_k_and_convolution_programs_match_the_free_functions() {
                 op.gemm_view().load_scale > 1.0,
                 "the im2col gather scales loads"
             );
-            assert_matches_free_functions(&conv, &op);
+            assert_matches_a_fresh_compiler(&conv, &op);
         }
         // All three convolutions reduce over 64·3·3.
         assert_eq!(conv.family_stats().computations, 1);
+    }
+}
+
+/// The oracle enumerates over the compiler's family table: on a warm
+/// compiler it finds the program a fresh compiler finds, from the same
+/// candidates, and it builds no family for a K the compiler has already
+/// compiled.
+#[test]
+fn the_oracle_enumerates_over_the_family_table() {
+    const CAP: usize = 128;
+    for machine in [MachineModel::a100(), MachineModel::ascend910a()] {
+        let lib = library(&machine, TemplateKind::Gemm);
+        let warm = MikPoly::with_library(machine.clone(), lib.clone());
+        // Both K of the walk.
+        for op in bert_walk().take(PROJECTIONS.len()) {
+            warm.compile(&op);
+        }
+        let families = warm.family_stats().computations;
+        assert_eq!(families, 2, "{}", machine.name);
+        for op in bert_walk().skip(PROJECTIONS.len()).step_by(37) {
+            let fresh = MikPoly::with_library(machine.clone(), lib.clone());
+            let (w, f) = (
+                warm.compile_oracle_capped(&op, CAP),
+                fresh.compile_oracle_capped(&op, CAP),
+            );
+            assert_eq!(
+                (decisions(&w.program), w.candidates, w.truncated),
+                (decisions(&f.program), f.candidates, f.truncated),
+                "{} {op}",
+                machine.name
+            );
+            // The fresh compiler's oracle filled its table.
+            assert_eq!(
+                fresh.family_stats().computations,
+                1,
+                "{} {op}",
+                machine.name
+            );
+        }
+        assert_eq!(
+            warm.family_stats().computations,
+            families,
+            "{}: the oracle reuses the table's families",
+            machine.name
+        );
     }
 }
 
@@ -200,7 +254,7 @@ fn bounded_table_stays_within_capacity_and_resets_with_the_options() {
         let program = compiler.compile(&op);
         assert_eq!(
             decisions(&program),
-            decisions(&free_program(&compiler, &op))
+            decisions(&fresh_program(&compiler, &op, CompileBudget::default()))
         );
         assert!(compiler.family_stats().entries <= 1);
     }
@@ -209,7 +263,9 @@ fn bounded_table_stays_within_capacity_and_resets_with_the_options() {
         families.evictions > 0 && families.computations > 2,
         "alternating K must churn a one-entry table: {families:?}"
     );
-    compiler.check_families().expect("family table invariants");
+    compiler
+        .check_invariants()
+        .expect("compiler table invariants");
 
     let reset = compiler.with_options(bounded);
     let families = reset.family_stats();

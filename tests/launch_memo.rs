@@ -98,7 +98,9 @@ fn cold_shapes_share_exact_device_times_by_launch() {
             memo.computations
         );
         assert!(memo.evictions > 0, "{name}: the walk churns the memo");
-        compiler.check_launch_memo().expect("memo invariants");
+        compiler
+            .check_invariants()
+            .expect("compiler table invariants");
         assert!(memo.entries <= CAPACITY as u64, "{name}: {memo:?}");
     }
 }
