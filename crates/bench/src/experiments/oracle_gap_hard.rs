@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mikpoly::{MikPoly, OnlineOptions, SearchPolicy, TemplateKind};
 use mikpoly_conformance::{
-    gap_for, load_corpus, summarize, ConformanceEnv, FuzzCase, GateConfig, MachineKind,
+    gap_for, load_corpus, percentile, summarize, ConformanceEnv, FuzzCase, GateConfig, MachineKind,
 };
 
 use crate::setup::{workspace_root, Harness};
@@ -37,11 +37,7 @@ fn variant(h: &Harness, policy: SearchPolicy) -> Arc<MikPoly> {
 /// Nearest-rank percentile of an unsorted sample set, in microseconds.
 fn percentile_us(samples: &mut [f64], p: f64) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1] / 1e3
+    percentile(samples, p) / 1e3
 }
 
 /// Runs the hard-tier before/after sweep and writes

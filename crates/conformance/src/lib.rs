@@ -49,7 +49,7 @@ pub use fuzz::{
     shrink, CaseFailure, FaultSpec, FuzzCase, FuzzConfig, FuzzReport, MachineKind, OpSpec,
 };
 pub use gate::{run_gate, GateConfig, GateOutcome};
-pub use oracle::{gap_for, sample_shapes, summarize, GapSample, GapSummary};
+pub use oracle::{gap_for, percentile, sample_shapes, summarize, GapSample, GapSummary};
 pub use reference::{
     assert_matches_reference, compare_to_reference, ulp_distance, Mismatch, MismatchReport,
     Tolerance,

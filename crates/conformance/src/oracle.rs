@@ -78,8 +78,11 @@ pub struct GapSummary {
     pub truncated: usize,
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Nearest-rank percentile of an ascending-sorted slice: the element of
+/// 1-based rank `ceil(p·n)`, clamped into `1..=n`, so p50 of `1..=100`
+/// is 50. NaN when empty. (The serving reports use a different
+/// convention; see `mikpoly::serving::percentile`.)
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }

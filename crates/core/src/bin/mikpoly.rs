@@ -1045,8 +1045,9 @@ fn cache_bench(inv: &Invocation) -> Result<(), String> {
         std::process::exit(1);
     }
 
+    // The timed window covers the file read as well as the load.
     let t0 = std::time::Instant::now();
-    match a.load_program_cache(&bin_path) {
+    match std::fs::read(&bin_path).and_then(|bytes| a.load_program_cache_bytes(&bytes)) {
         Ok(n) if n == restart_entries => {}
         Ok(n) => violation(format!(
             "binary load restored {n}/{restart_entries} programs"
@@ -1210,6 +1211,22 @@ mod tests {
         // Padding that makes room for the filter is fine.
         let inv = parse("conv 1 1 2 2 1 5 5 1 2").expect("conv parses");
         assert!(operator(&inv).is_ok());
+    }
+
+    #[test]
+    fn a_conv_whose_extents_overflow_is_rejected() {
+        // Padding whose double wraps to 2, and an implicit-GEMM M of 2^64.
+        for line in [
+            "conv 1 1 2 2 1 5 5 1 9223372036854775810",
+            "conv 4294967296 1 4294967296 1 1 1 1 1 0",
+        ] {
+            let inv = parse(line).expect("operands are checked by the operator");
+            assert_eq!(
+                operator(&inv).err().as_deref(),
+                Some("convolution extents overflow usize"),
+                "{line}"
+            );
+        }
     }
 
     fn serve_preset() -> ServeSpec {

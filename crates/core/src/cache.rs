@@ -346,6 +346,14 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
         self.map.read().get(key).map(|slot| slot.found(on_hit))
     }
 
+    /// The metadata of `key`'s ready entry, if one is resident.
+    fn ready_meta(&self, key: &K) -> Option<Arc<EntryMeta>> {
+        match self.map.read().get(key) {
+            Some(Slot::Ready(e)) => Some(Arc::clone(&e.meta)),
+            _ => None,
+        }
+    }
+
     /// The miss path's role decision under the write lock: the slot some
     /// other thread installed meanwhile, or a fresh in-flight slot that
     /// this caller now leads.
@@ -624,24 +632,18 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
         let removed = self
             .shard(key)
             .remove_if(key, |slot| matches!(slot, Slot::Ready(_)));
-        let Some(Slot::Ready(entry)) = removed else {
+        let Some(Slot::Ready(_)) = removed else {
             return false;
         };
         self.counters.ready.fetch_sub(1, Ordering::Relaxed);
         self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         if self.capacity.is_some() {
             let mut ev = self.eviction.lock();
-            // Drop the live record only for *this* incarnation: a racing
-            // re-fill may already have registered a newer stamp. The
-            // order record goes stale and is skipped/compacted later —
-            // never evicting the new incarnation (the stale-order fix).
-            if ev
-                .live
-                .get(key)
-                .is_some_and(|m| m.stamp == entry.meta.stamp)
-            {
-                ev.live.remove(key);
-            }
+            // A racing re-fill may already be resident: the live index
+            // follows the shard. The removed entry's order record goes
+            // stale and is skipped/compacted later — never evicting the
+            // new incarnation (the stale-order fix).
+            self.sync_live(&mut ev, key);
             ev.compact();
         }
         true
@@ -694,14 +696,37 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
         };
         let mut ev = self.eviction.lock();
         for (key, meta) in entries {
-            ev.probation.push_back(OrderRecord {
-                key: key.clone(),
-                stamp: meta.stamp,
-            });
-            ev.live.insert(key, meta);
+            // Between this entry's store and now, a racing store or remove
+            // of the key may have replaced it. Only a still-resident entry
+            // gets an order record; a replacement is registered by its own
+            // writer.
+            if self.sync_live(&mut ev, &key) == Some(meta.stamp) {
+                ev.probation.push_back(OrderRecord {
+                    key,
+                    stamp: meta.stamp,
+                });
+            }
         }
         self.evict_to_capacity(&mut ev, capacity);
         ev.compact();
+    }
+
+    /// Makes the live index agree with `key`'s shard slot, read under the
+    /// eviction lock, and returns the resident entry's stamp. Every write
+    /// to a slot (store, remove) is followed by a sync, so once writers
+    /// quiesce the index holds exactly the resident entries.
+    fn sync_live(&self, ev: &mut EvictionState<K>, key: &K) -> Option<u64> {
+        match self.shard(key).ready_meta(key) {
+            Some(meta) => {
+                let stamp = meta.stamp;
+                ev.live.insert(key.clone(), meta);
+                Some(stamp)
+            }
+            None => {
+                ev.live.remove(key);
+                None
+            }
+        }
     }
 
     /// The segmented-LRU eviction scan. Victims come from the probation
@@ -1219,6 +1244,33 @@ mod tests {
             );
         }
         cache.check_invariants().expect("invariants");
+    }
+
+    /// The two interleavings the churn test below hits only now and then,
+    /// replayed step by step: a write lands between another writer's
+    /// store and its registration.
+    #[test]
+    fn registration_after_a_racing_write_keeps_the_live_index_exact() {
+        let cache: ShardedCache<u64, u64> = ShardedCache::bounded(8);
+        let shard = cache.shard(&1);
+        // Two inserts of key 1 store in order, then register in reverse:
+        // the live index must follow the resident (second) entry.
+        let (first, second) = (cache.new_entry(Arc::new(10)), cache.new_entry(Arc::new(11)));
+        cache.store_ready(shard, &1, &first);
+        cache.store_ready(shard, &1, &second);
+        cache.register([(1, Arc::clone(&second.meta))]);
+        cache.register([(1, Arc::clone(&first.meta))]);
+        cache.check_invariants().expect("store, store, register x2");
+        assert!(cache.remove(&1));
+        cache.check_invariants().expect("then remove");
+        // A remove between an insert's store and its registration: the
+        // late registration must not resurrect the removed key.
+        let third = cache.new_entry(Arc::new(12));
+        cache.store_ready(shard, &1, &third);
+        assert!(cache.remove(&1));
+        cache.register([(1, Arc::clone(&third.meta))]);
+        cache.check_invariants().expect("store, remove, register");
+        assert_eq!(cache.eviction.lock().live.len(), 0);
     }
 
     #[test]

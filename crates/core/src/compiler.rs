@@ -731,97 +731,76 @@ impl MikPoly {
             .collect()
     }
 
-    /// Persists every cached compiled program to a binary bundle — an
-    /// ahead-of-time bundle for deployments with a known shape menu
-    /// (compile once with [`MikPoly::compile_many`], ship the bundle,
-    /// [`MikPoly::load_program_cache`] at startup). The format is the
-    /// checksummed record layout of [`crate::persist`] (magic `MPAC`).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the file.
-    pub fn save_program_cache(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        // The write goes through the temp-file + fsync + rename protocol,
-        // so a crash mid-save can never tear the bundle under `path`.
-        crate::persist::write_bytes_atomic(path.as_ref(), &self.encode_program_cache())
-    }
-
     /// Serializes the current program cache as a checksummed binary
-    /// bundle in memory — the byte image [`MikPoly::save_program_cache`]
-    /// writes. Snapshots Arc clones shard by shard, so concurrent
-    /// compiles proceed during encoding (no cache lock is held).
+    /// bundle in memory — an ahead-of-time bundle for deployments with a
+    /// known shape menu (compile once with [`MikPoly::compile_many`],
+    /// ship the bytes, [`MikPoly::load_program_cache_bytes`] at startup).
+    /// The format is the checksummed record layout of [`crate::persist`];
+    /// [`crate::Engine::save_program_caches`] commits it durably.
+    /// Snapshots Arc clones shard by shard, so concurrent compiles
+    /// proceed during encoding (no cache lock is held).
     pub fn encode_program_cache(&self) -> Vec<u8> {
         let slots = self.cache.snapshot();
         crate::persist::encode_bundle(slots.iter().map(|s| &*s.program))
     }
 
-    /// Loads an ahead-of-time program bundle written by
-    /// [`MikPoly::save_program_cache`] into the cache. Programs whose
-    /// kernels are not in this compiler's library are rejected (a bundle
-    /// from a different machine or library version), and the batch is
-    /// inserted through the cache's bulk path, which is what keeps
-    /// restart-to-warm fast for large bundles.
+    /// Loads a bundle made by [`MikPoly::encode_program_cache`] into the
+    /// cache, all or nothing: every program must tile its output and use
+    /// only kernels in this compiler's library (a bundle from a different
+    /// machine or library version fails), and the batch is inserted
+    /// through the cache's bulk path, which is what keeps restart-to-warm
+    /// fast for large bundles.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the file cannot be read, or an
-    /// [`std::io::ErrorKind::InvalidData`] error if it is not a bundle of
-    /// the current format, is damaged, or a program fails validation.
-    pub fn load_program_cache(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-        let bytes = std::fs::read(path)?;
-        self.load_program_cache_bytes(&bytes)
-    }
-
-    /// The in-memory half of [`MikPoly::load_program_cache`]: decodes,
-    /// validates, and bulk-inserts a bundle already read into memory. The
-    /// recovery path uses this directly so a strict failure can fall back
-    /// to salvage without re-reading the file.
-    ///
-    /// # Errors
-    ///
-    /// As [`MikPoly::load_program_cache`], minus the file read.
+    /// [`std::io::ErrorKind::InvalidData`] if `bytes` is not a bundle of
+    /// the current format, is damaged, or a program fails validation;
+    /// nothing is loaded then.
     pub fn load_program_cache_bytes(&self, bytes: &[u8]) -> std::io::Result<usize> {
-        let programs = crate::persist::decode_bundle(bytes)?;
-        for p in &programs {
-            self.validate_restored_program(p)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let (programs, failure) = self.valid_restored_prefix(crate::persist::decode_bundle(bytes)?);
+        match failure {
+            Some(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+            None => Ok(self.adopt_restored_programs(programs)),
         }
-        // Validation done; the bulk insert republishes each shard once.
-        Ok(self.adopt_restored_programs(programs))
     }
 
-    /// Checks a restored program before it is adopted: its regions tile
-    /// its output exactly, its view is its operator's, and its kernels all
-    /// exist in this compiler's library (the guard against a bundle from a
-    /// different machine or library version). A restored slot is adopted
-    /// unmarked and served without further checks, so a bundle whose
-    /// checksums pass must still not smuggle in a broken program.
-    pub(crate) fn validate_restored_program(&self, p: &CompiledProgram) -> Result<(), String> {
-        if let Err(e) = p.verify_coverage() {
-            return Err(format!(
-                "program for {} does not cover its output: {e:?}",
-                p.operator
-            ));
+    /// Checks restored programs in order and cuts them at the first that
+    /// fails, returning the valid prefix and that failure. A valid
+    /// program's regions tile its output exactly, its view is its
+    /// operator's, and its kernels all exist in this compiler's library
+    /// (the guard against a bundle from a different machine or library
+    /// version). A restored slot is adopted unmarked and served without
+    /// further checks, so a bundle whose checksums pass must still not
+    /// smuggle in a broken program.
+    pub(crate) fn valid_restored_prefix(
+        &self,
+        mut programs: Vec<CompiledProgram>,
+    ) -> (Vec<CompiledProgram>, Option<String>) {
+        for (i, p) in programs.iter().enumerate() {
+            let reason = if let Err(e) = p.verify_coverage() {
+                format!("does not cover its output: {e:?}")
+            } else if p.view != p.operator.gemm_view() {
+                "carries a view that is not its operator's".to_string()
+            } else if let Some(kernel) = p
+                .regions
+                .iter()
+                .map(|r| r.kernel)
+                .find(|k| self.library.get(k.id).map(|t| t.kernel) != Some(*k))
+            {
+                format!("references {kernel} absent from this library")
+            } else {
+                continue;
+            };
+            let reason = format!("program for {} {reason}", p.operator);
+            programs.truncate(i);
+            return (programs, Some(reason));
         }
-        if p.view != p.operator.gemm_view() {
-            return Err(format!(
-                "program for {} carries a view that is not its operator's",
-                p.operator
-            ));
-        }
-        for r in &p.regions {
-            if self.library.get(r.kernel.id).map(|t| t.kernel) != Some(r.kernel) {
-                return Err(format!(
-                    "program for {} references {} absent from this library",
-                    p.operator, r.kernel
-                ));
-            }
-        }
-        Ok(())
+        (programs, None)
     }
 
-    /// Bulk-inserts already-validated restored programs through the
-    /// cache's one-republish-per-shard path. Used by the salvage loader.
+    /// Bulk-inserts programs that passed
+    /// [`MikPoly::valid_restored_prefix`] through the cache's
+    /// one-republish-per-shard path.
     pub(crate) fn adopt_restored_programs(&self, programs: Vec<CompiledProgram>) -> usize {
         let count = programs.len();
         self.cache.insert_many(
@@ -1688,17 +1667,15 @@ mod aot_bundle_tests {
             .map(|(m, n, k)| Operator::gemm(GemmShape::new(m, n, k)))
             .collect();
         a.compile_many(&ops);
-        let path = std::env::temp_dir().join("mikpoly-aot-test.json");
-        a.save_program_cache(&path).expect("save");
+        let bundle = a.encode_program_cache();
 
         let b = MikPoly::with_library(machine, a.library().clone());
-        assert_eq!(b.load_program_cache(&path).expect("load"), 2);
+        assert_eq!(b.load_program_cache_bytes(&bundle).expect("load"), 2);
         for op in &ops {
             let run = b.run(op);
             assert_eq!(run.compile_ns, 0, "bundle must pre-warm the cache");
             assert_eq!(run.program.regions, a.compile(op).regions);
         }
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1721,17 +1698,17 @@ mod aot_bundle_tests {
         let a = MikPoly::offline(MachineModel::a100(), &o);
         let op = Operator::gemm(GemmShape::new(128, 128, 128));
         let _ = a.compile(&op);
-        let path = std::env::temp_dir().join("mikpoly-aot-foreign.json");
-        a.save_program_cache(&path).expect("save");
+        let bundle = a.encode_program_cache();
 
         // A different machine's library has different tuned kernels (NPU
         // kernels are single-warp), so the bundle must be rejected.
         let mut other_options = OfflineOptions::fast();
         other_options.n_gen = 4;
         let b = MikPoly::offline(MachineModel::ascend910a(), &other_options);
-        let err = b.load_program_cache(&path).expect_err("must reject");
+        let err = b
+            .load_program_cache_bytes(&bundle)
+            .expect_err("must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_file(path);
     }
 }
 

@@ -506,10 +506,11 @@ impl Engine {
 }
 
 /// Restores one committed bundle file with the clean → salvage →
-/// quarantine ladder. `(len, crc)` is the manifest's record of the
-/// file; a mismatch against it is treated as damage even if the
-/// bundle's own checksums pass (the manifest is the commit point — a
-/// non-matching file is not the state that was committed).
+/// quarantine ladder: one scan of the bytes, then the valid prefix is
+/// adopted. `(len, crc)` is the manifest's record of the file; a mismatch
+/// against it is treated as damage even if the bundle's own checksums
+/// pass (the manifest is the commit point — a non-matching file is not
+/// the state that was committed).
 fn restore_one_bundle(
     compiler: &MikPoly,
     stem: &str,
@@ -528,45 +529,31 @@ fn restore_one_bundle(
             return restore;
         }
     };
-    let strict = if bytes.len() as u64 == len && crate::persist::crc32(&bytes) == crc {
-        compiler.load_program_cache_bytes(&bytes)
-    } else {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "bundle does not match the committed manifest (length or checksum)",
-        ))
-    };
-    match strict {
-        Ok(n) => {
-            restore.outcome = RestoreOutcome::Clean;
-            restore.restored = n;
-            restore.claimed = Some(n as u64);
-            restore
+    let committed = bytes.len() as u64 == len && crate::persist::crc32(&bytes) == crc;
+    let scan = crate::persist::salvage_bundle(&bytes);
+    // Restored records must still belong to this library; the prefix
+    // stops at the first foreign program.
+    let (valid, invalid) = compiler.valid_restored_prefix(scan.programs);
+    restore.claimed = scan.claimed;
+    restore.restored = compiler.adopt_restored_programs(valid);
+    restore.detail = invalid.or_else(|| {
+        if committed {
+            scan.detail
+        } else {
+            Some("bundle does not match the committed manifest (length or checksum)".to_string())
         }
-        Err(e) => {
-            restore.detail = Some(e.to_string());
-            let salvage = crate::persist::salvage_bundle(&bytes);
-            restore.claimed = salvage.claimed;
-            // Salvaged records must still belong to this library; the
-            // prefix stops at the first foreign program.
-            let mut valid = Vec::new();
-            for program in salvage.programs {
-                if let Err(v) = compiler.validate_restored_program(&program) {
-                    restore.detail = Some(v);
-                    break;
-                }
-                valid.push(program);
-            }
-            restore.restored = compiler.adopt_restored_programs(valid);
-            restore.quarantined_to = crate::recovery::quarantine_file(path).ok();
-            restore.outcome = if restore.restored > 0 {
-                RestoreOutcome::Salvaged
-            } else {
-                RestoreOutcome::Quarantined
-            };
-            restore
-        }
+    });
+    if restore.detail.is_none() {
+        restore.outcome = RestoreOutcome::Clean;
+        return restore;
     }
+    restore.quarantined_to = crate::recovery::quarantine_file(path).ok();
+    restore.outcome = if restore.restored > 0 {
+        RestoreOutcome::Salvaged
+    } else {
+        RestoreOutcome::Quarantined
+    };
+    restore
 }
 
 #[cfg(test)]

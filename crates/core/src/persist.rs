@@ -33,6 +33,14 @@
 //! records (the strict loader treats a missing footer as damage). Writers
 //! should pair [`encode_bundle`] with [`write_bytes_atomic`] so a crash
 //! mid-write can never leave a half-written file under the final name.
+//!
+//! One record scan reads every bundle: it parses the header and index
+//! once, walks the records up to the first damaged one, then checks the
+//! footer. [`decode_bundle`] is that scan with any damage as its error;
+//! [`salvage_bundle`] is the same scan reporting the valid prefix, the
+//! claimed count and the damage side by side. [`record_end_offsets`]
+//! parses the index on its own, because it is the crash harness's oracle
+//! for what the scan must salvage.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -89,6 +97,59 @@ pub fn encode_bundle<'a>(programs: impl IntoIterator<Item = &'a CompiledProgram>
 /// best-effort recovery of a damaged bundle use [`salvage_bundle`]
 /// instead.
 pub fn decode_bundle(bytes: &[u8]) -> io::Result<Vec<CompiledProgram>> {
+    let mut programs = Vec::new();
+    scan(bytes, &mut programs, &mut None)?;
+    Ok(programs)
+}
+
+/// Best-effort decoding of a possibly-damaged binary bundle.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SalvagedBundle {
+    /// The longest prefix of records that decoded and checksummed clean.
+    pub programs: Vec<CompiledProgram>,
+    /// The record count the header claims, when the header was readable.
+    pub claimed: Option<u64>,
+    /// Whether the strict decoder accepted the whole bundle (checksums
+    /// and footer included). When `true`, `programs` is the full bundle.
+    pub clean: bool,
+    /// The strict decoder's rejection, when `clean` is false.
+    pub detail: Option<String>,
+}
+
+/// Decodes as much of `bytes` as survived: the longest valid record
+/// prefix of a torn, bit-flipped, or otherwise damaged bundle.
+///
+/// Never errors and never panics, whatever the input — arbitrary bytes
+/// yield an empty salvage with the strict decoder's rejection attached.
+/// A record is kept only if its bytes are fully present, its stored
+/// CRC32 matches, and it decodes with no trailing bytes;
+/// the scan stops at the first record failing any of those, because
+/// record boundaries downstream of damage cannot be trusted.
+pub fn salvage_bundle(bytes: &[u8]) -> SalvagedBundle {
+    let (mut programs, mut claimed) = (Vec::new(), None);
+    let result = scan(bytes, &mut programs, &mut claimed);
+    SalvagedBundle {
+        programs,
+        claimed,
+        clean: result.is_ok(),
+        detail: result.err().map(|e| e.to_string()),
+    }
+}
+
+/// The one pass behind [`decode_bundle`] and [`salvage_bundle`]: parses
+/// the header and index once, then walks the records in index order,
+/// pushing each onto `programs`, and checks the footer after the last.
+/// `claimed` receives the header's record count as soon as it is read.
+///
+/// # Errors
+///
+/// The first damage found, in the header, the index, a record or the
+/// footer; `programs` then holds exactly the records before it.
+fn scan(
+    bytes: &[u8],
+    programs: &mut Vec<CompiledProgram>,
+    claimed: &mut Option<u64>,
+) -> io::Result<()> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != BUNDLE_MAGIC {
         return Err(invalid("not a program bundle: bad magic"));
@@ -100,9 +161,11 @@ pub fn decode_bundle(bytes: &[u8]) -> io::Result<Vec<CompiledProgram>> {
         )));
     }
     let count64 = r.u64()?;
+    *claimed = Some(count64);
     let count = usize_from(count64)?;
     // Guard the index allocation against a hostile count before trusting
-    // it: the index alone needs 8 bytes per record.
+    // it: the index alone needs 8 bytes per record. A count beyond that
+    // means the count itself is damaged, so no record boundary is known.
     if count > r.remaining() / 8 {
         return Err(invalid("bundle index longer than the file"));
     }
@@ -110,7 +173,7 @@ pub fn decode_bundle(bytes: &[u8]) -> io::Result<Vec<CompiledProgram>> {
     for _ in 0..count {
         lengths.push(usize_from(r.u64()?)?);
     }
-    let mut programs = Vec::with_capacity(count);
+    programs.reserve(count);
     for (i, len) in lengths.into_iter().enumerate() {
         let record = r
             .take(len)
@@ -152,7 +215,7 @@ pub fn decode_bundle(bytes: &[u8]) -> io::Result<Vec<CompiledProgram>> {
             r.remaining()
         )));
     }
-    Ok(programs)
+    Ok(())
 }
 
 /// Decodes one record slice, rejecting trailing bytes inside it.
@@ -167,95 +230,6 @@ fn decode_record(record: &[u8], i: usize) -> io::Result<CompiledProgram> {
         )));
     }
     Ok(program)
-}
-
-/// Best-effort decoding of a possibly-damaged binary bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SalvagedBundle {
-    /// The longest prefix of records that decoded and checksummed clean.
-    pub programs: Vec<CompiledProgram>,
-    /// The record count the header claims, when the header was readable.
-    pub claimed: Option<u64>,
-    /// Whether the strict decoder accepted the whole bundle (checksums
-    /// and footer included). When `true`, `programs` is the full bundle.
-    pub clean: bool,
-    /// The strict decoder's rejection, when `clean` is false.
-    pub detail: Option<String>,
-}
-
-/// Decodes as much of `bytes` as survived: the longest valid record
-/// prefix of a torn, bit-flipped, or otherwise damaged bundle.
-///
-/// Never errors and never panics, whatever the input — arbitrary bytes
-/// yield an empty salvage with the strict decoder's rejection attached.
-/// A record is kept only if its bytes are fully present, its stored
-/// CRC32 matches, and it decodes with no trailing bytes;
-/// the scan stops at the first record failing any of those, because
-/// record boundaries downstream of damage cannot be trusted.
-pub fn salvage_bundle(bytes: &[u8]) -> SalvagedBundle {
-    match decode_bundle(bytes) {
-        Ok(programs) => SalvagedBundle {
-            claimed: Some(programs.len() as u64),
-            clean: true,
-            detail: None,
-            programs,
-        },
-        Err(strict) => {
-            let (programs, claimed) = salvage_prefix(bytes);
-            SalvagedBundle {
-                programs,
-                claimed,
-                clean: false,
-                detail: Some(strict.to_string()),
-            }
-        }
-    }
-}
-
-/// The record-prefix scan behind [`salvage_bundle`]: header best-effort,
-/// then records in index order until the first damaged one.
-fn salvage_prefix(bytes: &[u8]) -> (Vec<CompiledProgram>, Option<u64>) {
-    let mut r = Reader::new(bytes);
-    match (r.take(4), r.u32()) {
-        (Ok(magic), Ok(FORMAT_VERSION)) if magic == BUNDLE_MAGIC => {}
-        _ => return (Vec::new(), None),
-    }
-    let Ok(count64) = r.u64() else {
-        return (Vec::new(), None);
-    };
-    let claimed = Some(count64);
-    let Ok(count) = usize_from(count64) else {
-        return (Vec::new(), claimed);
-    };
-    // A count beyond what the file could index means the count itself is
-    // damaged — record boundaries are unknowable, salvage nothing.
-    if count > r.remaining() / 8 {
-        return (Vec::new(), claimed);
-    }
-    let mut lengths = Vec::with_capacity(count);
-    for _ in 0..count {
-        match r.u64().map(usize_from) {
-            Ok(Ok(len)) => lengths.push(len),
-            _ => return (Vec::new(), claimed),
-        }
-    }
-    let mut programs = Vec::new();
-    for len in lengths {
-        let Ok(record) = r.take(len) else { break };
-        let Ok(stored) = r.u32() else { break };
-        if crc32(record) != stored {
-            break;
-        }
-        let mut rr = Reader::new(record);
-        let Ok(program) = decode_program(&mut rr) else {
-            break;
-        };
-        if rr.remaining() != 0 {
-            break;
-        }
-        programs.push(program);
-    }
-    (programs, claimed)
 }
 
 /// Absolute end offset (exclusive, checksum included) of each record in
@@ -572,28 +546,42 @@ fn decode_operator(r: &mut Reader<'_>) -> io::Result<Operator> {
 
 /// The `(m, n, k)` of `operator.gemm_view()`, computed without overflow,
 /// or `None` where the operator's constructor would panic or the view's
-/// arithmetic would overflow `usize`.
+/// arithmetic would overflow `usize`. A convolution must pass
+/// [`Conv2dShape::try_new`], which owns the shape rule and bounds its
+/// implicit-GEMM view.
 fn checked_view_extents(operator: &Operator) -> Option<[usize; 3]> {
+    let constructed = |s: Conv2dShape| {
+        Conv2dShape::try_new(
+            s.batch,
+            s.in_channels,
+            s.height,
+            s.width,
+            s.out_channels,
+            s.kernel_h,
+            s.kernel_w,
+            s.stride,
+            s.padding,
+        )
+        .ok()
+    };
     match *operator {
         Operator::Gemm { shape, .. } => Some([shape.m, shape.n, shape.k]),
         Operator::BatchedGemm { batch, shape, .. } => {
             Some([batch.checked_mul(shape.m)?, shape.n, shape.k])
         }
         Operator::Conv2d { shape, .. } => {
-            let (out_h, out_w) = checked_conv_output(&shape)?;
-            let k = shape.in_channels.checked_mul(shape.kernel_h)?;
-            Some([
-                shape.batch.checked_mul(out_h)?.checked_mul(out_w)?,
-                shape.out_channels,
-                k.checked_mul(shape.kernel_w)?,
-            ])
+            let view = constructed(shape)?.as_gemm();
+            Some([view.m, view.n, view.k])
         }
         Operator::Conv2dWinograd { shape, .. } => {
+            let shape = constructed(shape)?;
             if !tensor_ir::winograd_applicable(&shape) {
                 return None;
             }
-            let (out_h, out_w) = checked_conv_output(&shape)?;
-            let tiles = out_h.div_ceil(2).checked_mul(out_w.div_ceil(2))?;
+            let tiles = shape
+                .out_h()
+                .div_ceil(2)
+                .checked_mul(shape.out_w().div_ceil(2))?;
             Some([
                 shape.batch.checked_mul(tiles)?.checked_mul(16)?,
                 shape.out_channels,
@@ -601,31 +589,6 @@ fn checked_view_extents(operator: &Operator) -> Option<[usize; 3]> {
             ])
         }
     }
-}
-
-/// The output extents of a convolution that `Conv2dShape::new` would
-/// accept (positive extents and stride, a padded input no smaller than
-/// the filter), computed without overflow.
-fn checked_conv_output(s: &Conv2dShape) -> Option<(usize, usize)> {
-    let positive = [
-        s.batch,
-        s.in_channels,
-        s.height,
-        s.width,
-        s.out_channels,
-        s.kernel_h,
-        s.kernel_w,
-        s.stride,
-    ];
-    // `gather_load_scale` squares the stride.
-    if positive.contains(&0) || s.stride.checked_mul(s.stride).is_none() {
-        return None;
-    }
-    let padding = s.padding.checked_mul(2)?;
-    let out = |len: usize, kernel: usize| {
-        Some(len.checked_add(padding)?.checked_sub(kernel)? / s.stride + 1)
-    };
-    Some((out(s.height, s.kernel_h)?, out(s.width, s.kernel_w)?))
 }
 
 fn encode_program(p: &CompiledProgram) -> Vec<u8> {

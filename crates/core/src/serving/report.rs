@@ -242,7 +242,10 @@ pub struct LatencySummary {
     pub device: LatencyStats,
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
+/// Rounded-index percentile of an ascending-sorted slice: the element at
+/// 0-based index `round((n − 1)·p)`. This is not nearest rank
+/// (`ceil(p·n)`, 1-based): p50 of `1..=100` is 51 here and 50 by nearest
+/// rank.
 ///
 /// The empty slice yields 0 explicitly, `p` is clamped into `[0, 1]`,
 /// and debug builds assert the input really is sorted — unsorted input
@@ -560,7 +563,7 @@ mod tests {
     use tensor_ir::{GemmShape, Operator};
 
     #[test]
-    fn percentile_nearest_rank() {
+    fn percentile_takes_the_rounded_index() {
         let v: Vec<f64> = (1..=100).map(f64::from).collect();
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 100.0);

@@ -10,7 +10,8 @@
 //!
 //! Histograms bucket by `floor(log2(v)) + 1`: bucket `b` holds values in
 //! `[2^(b-1), 2^b)`. Percentile readout returns the inclusive upper bound
-//! of the bucket containing the nearest-rank sample, clamped to the
+//! of the bucket containing the sample at index `round((n - 1)·p)` of the
+//! ascending order (the rounded-index convention), clamped to the
 //! largest recorded sample, so an estimate `e` for an exact percentile
 //! `x` always satisfies `x <= e < 2x` — within one bucket width — and
 //! never exceeds the recorded max. The property tests pin down both.
@@ -196,9 +197,11 @@ impl Histogram {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// The nearest-rank percentile, reported as the inclusive upper bound
-    /// of the bucket holding that rank clamped to the largest recorded
-    /// sample (0 when empty). `p` in `[0, 1]`.
+    /// The rounded-index percentile — the sample at 0-based index
+    /// `round((n - 1)·p)` of the ascending order, not the nearest rank
+    /// `ceil(p·n)` — reported as the inclusive upper bound of the bucket
+    /// holding that sample clamped to the largest recorded sample (0 when
+    /// empty). `p` in `[0, 1]`.
     pub fn percentile_ns(&self, p: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
@@ -209,8 +212,8 @@ impl Histogram {
         if total == 0 {
             return 0;
         }
-        // Same nearest-rank convention as a sorted slice: index
-        // round((n - 1) * p) of the ascending order.
+        // The rounded-index convention of `mikpoly::serving::percentile`:
+        // index round((n - 1) * p) of the ascending order.
         let rank = ((total - 1) as f64 * p.clamp(0.0, 1.0)).round() as u64;
         let mut seen = 0u64;
         let bucket = counts

@@ -107,8 +107,10 @@ impl Conv2dShape {
     ///
     /// # Errors
     ///
-    /// When any extent is zero, the stride is zero, or the padded input
-    /// is smaller than the filter.
+    /// When any extent is zero, the stride is zero, the padded input is
+    /// smaller than the filter, or the padded input, the implicit-GEMM
+    /// view ([`Conv2dShape::as_gemm`]) or the squared stride
+    /// ([`Conv2dShape::gather_load_scale`]) overflows `usize`.
     #[allow(clippy::too_many_arguments)]
     pub fn try_new(
         batch: usize,
@@ -121,14 +123,30 @@ impl Conv2dShape {
         stride: usize,
         padding: usize,
     ) -> Result<Self, &'static str> {
+        const OVERFLOW: &str = "convolution extents overflow usize";
         if [batch, in_channels, height, width, out_channels].contains(&0) {
             return Err("convolution extents must be positive");
         }
         if [kernel_h, kernel_w, stride].contains(&0) {
             return Err("filter and stride must be positive");
         }
-        if height + 2 * padding < kernel_h || width + 2 * padding < kernel_w {
-            return Err("padded input must be at least as large as the filter");
+        let out = |len: usize, kernel: usize| -> Result<usize, &'static str> {
+            let padded = padding
+                .checked_mul(2)
+                .and_then(|p| len.checked_add(p))
+                .ok_or(OVERFLOW)?;
+            let span = padded
+                .checked_sub(kernel)
+                .ok_or("padded input must be at least as large as the filter")?;
+            Ok(span / stride + 1)
+        };
+        let (out_h, out_w) = (out(height, kernel_h)?, out(width, kernel_w)?);
+        let m = batch.checked_mul(out_h).and_then(|m| m.checked_mul(out_w));
+        let k = in_channels
+            .checked_mul(kernel_h)
+            .and_then(|k| k.checked_mul(kernel_w));
+        if m.is_none() || k.is_none() || stride.checked_mul(stride).is_none() {
+            return Err(OVERFLOW);
         }
         Ok(Self {
             batch,
@@ -250,6 +268,43 @@ mod tests {
         let c = Conv2dShape::new(1, 3, 224, 224, 64, 7, 7, 2, 3);
         assert_eq!(c.out_h(), 112);
         assert_eq!(c.out_w(), 112);
+    }
+
+    #[test]
+    fn try_new_rejects_overflow_instead_of_wrapping() {
+        // A padding whose double wraps to a small number.
+        assert_eq!(
+            Conv2dShape::try_new(1, 1, 2, 2, 1, 5, 5, 1, usize::MAX / 2 + 2),
+            Err("convolution extents overflow usize")
+        );
+        // A padded extent past usize::MAX.
+        assert_eq!(
+            Conv2dShape::try_new(1, 1, usize::MAX, 1, 1, 1, 1, 1, 1),
+            Err("convolution extents overflow usize")
+        );
+        // An implicit-GEMM M of 2^64 that wraps to 0.
+        assert_eq!(
+            Conv2dShape::try_new(1 << 32, 1, 1 << 32, 1, 1, 1, 1, 1, 0),
+            Err("convolution extents overflow usize")
+        );
+        // An implicit-GEMM K past usize::MAX.
+        assert_eq!(
+            Conv2dShape::try_new(1, usize::MAX / 2, 3, 3, 1, 3, 3, 1, 1),
+            Err("convolution extents overflow usize")
+        );
+        // A stride whose square overflows.
+        assert_eq!(
+            Conv2dShape::try_new(1, 1, 8, 8, 1, 1, 1, 1 << 40, 0),
+            Err("convolution extents overflow usize")
+        );
+        // The filter check still names itself, and the largest view that
+        // fits is accepted.
+        assert_eq!(
+            Conv2dShape::try_new(1, 1, 2, 2, 1, 5, 5, 1, 0),
+            Err("padded input must be at least as large as the filter")
+        );
+        let big = Conv2dShape::try_new(1 << 31, 1, 1 << 31, 1, 1, 1, 1, 1, 0).expect("fits");
+        assert_eq!(big.as_gemm().m, 1 << 62);
     }
 
     #[test]

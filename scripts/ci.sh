@@ -117,6 +117,9 @@ echo "==> cache smoke: mikpoly cache-bench (stress + restart gate)"
 # exits non-zero below any gate.
 echo "==> sim-throughput gate (event core >= 10x reference, floor 14M tasks/s, profile coverage within 2%)"
 ./target/release/experiments sim-throughput
+# The gate passed; its files now hold this host's timings. Put the
+# committed measurement back so CI leaves results/ as it found it.
+git checkout -- results/sim-throughput.json results/sim-throughput.csv results/summary.json
 
 # Batched-serving gate: shape-bucketed continuous batching plus co-launch
 # waves must beat solo dispatch under overload on both goodput and P99,
@@ -228,5 +231,10 @@ perfbench_smoke burst-batched
 # time comes from its cache slot: the all-hit path the others barely
 # reach.
 perfbench_smoke warm-bert
+
+# No step may leave the tracked results/ dirty: a gate that rewrites a
+# committed measurement must restore it.
+echo "==> results/ is unchanged"
+git diff --exit-code -- results/
 
 echo "CI green."

@@ -90,14 +90,15 @@ fn aot_bundles_move_between_engine_instances() {
         .map(|o| o.operator)
         .collect();
     producer.compile_many(&ops);
-    let path = std::env::temp_dir().join("mikpoly-engine-aot.json");
-    producer.save_program_cache(&path).expect("save");
+    let bundle = producer.encode_program_cache();
 
     let consumer_gemm = Arc::new(MikPoly::with_library(
         machine.clone(),
         producer.library().clone(),
     ));
-    consumer_gemm.load_program_cache(&path).expect("load");
+    consumer_gemm
+        .load_program_cache_bytes(&bundle)
+        .expect("load");
     let consumer = Engine::from_compilers(
         machine.clone(),
         consumer_gemm,
@@ -109,5 +110,4 @@ fn aot_bundles_move_between_engine_instances() {
     for op in &ops {
         assert_eq!(consumer.run_operator(op).run.compile_ns, 0, "{op}");
     }
-    let _ = std::fs::remove_file(path);
 }

@@ -17,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 
 use mikpoly_suite::accel_sim::MachineModel;
 use mikpoly_suite::mikpoly::{
-    decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, Engine, OfflineOptions,
-    RestoreOutcome,
+    crc32, decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, Engine, Manifest,
+    MicroKernel, MicroKernelId, OfflineOptions, RestoreOutcome,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 
@@ -190,4 +190,81 @@ fn a_swapped_bundle_never_mixes_generations() {
         "the untouched bundle stays clean: {restore}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes `bytes` as `gemm.mpac.1` and commits a generation-1 manifest
+/// that records `(len, crc)` for it.
+fn commit_gemm(dir: &std::path::Path, bytes: &[u8], len: u64, crc: u32) -> std::path::PathBuf {
+    let name = "gemm.mpac.1";
+    std::fs::write(dir.join(name), bytes).expect("write bundle");
+    Manifest {
+        generation: 1,
+        bundles: vec![(name.to_string(), len, crc)],
+    }
+    .commit(dir)
+    .expect("commit manifest");
+    dir.join(name)
+}
+
+#[test]
+fn an_intact_bundle_the_manifest_disagrees_with_salvages_every_program() {
+    let bundle = shared_engine().gemm_compiler().encode_program_cache();
+    let (len, crc) = (bundle.len() as u64, crc32(&bundle));
+    for (tag, len, crc) in [("length", len + 1, crc), ("crc", len, crc ^ 1)] {
+        let dir = scratch(&format!("mismatch-{tag}"));
+        let path = commit_gemm(&dir, &bundle, len, crc);
+        let restore = fresh_engine().restore_program_caches(&dir);
+        let gemm = &restore.bundles[0];
+        assert_eq!(gemm.outcome, RestoreOutcome::Salvaged, "{tag}: {restore}");
+        assert_eq!((gemm.restored, gemm.claimed), (3, Some(3)), "{tag}");
+        assert_eq!(
+            gemm.detail.as_deref(),
+            Some("bundle does not match the committed manifest (length or checksum)"),
+            "{tag}"
+        );
+        assert!(!path.exists(), "{tag}: the file must be moved aside");
+        assert!(gemm.quarantined_to.as_ref().is_some_and(|q| q.exists()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_foreign_kernel_in_record_i_restores_exactly_the_records_before_it() {
+    let bundle = shared_engine().gemm_compiler().encode_program_cache();
+    let programs = decode_bundle(&bundle).expect("decode");
+    let foreign = MicroKernel::new(MicroKernelId(1 << 40), 16, 16, 16, 4);
+    for i in 0..programs.len() {
+        let mut damaged = programs.clone();
+        for region in &mut damaged[i].regions {
+            region.kernel = foreign;
+        }
+        let forged = encode_bundle(&damaged);
+        assert_eq!(decode_bundle(&forged).expect("decodes clean"), damaged);
+        let dir = scratch(&format!("foreign-{i}"));
+        commit_gemm(&dir, &forged, forged.len() as u64, crc32(&forged));
+        let fresh = fresh_engine();
+        let restore = fresh.restore_program_caches(&dir);
+        let gemm = &restore.bundles[0];
+        let expected = if i == 0 {
+            RestoreOutcome::Quarantined
+        } else {
+            RestoreOutcome::Salvaged
+        };
+        assert_eq!(gemm.outcome, expected, "record {i}: {restore}");
+        assert_eq!(gemm.restored, i, "record {i}");
+        assert_eq!(gemm.claimed, Some(programs.len() as u64));
+        assert_eq!(
+            gemm.detail,
+            Some(format!(
+                "program for {} references {foreign} absent from this library",
+                damaged[i].operator
+            )),
+            "record {i}"
+        );
+        for (j, program) in programs.iter().enumerate() {
+            let warm = fresh.gemm_compiler().run(&program.operator).compile_ns == 0;
+            assert_eq!(warm, j < i, "record {i}: program {j} warm = {warm}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -13,7 +13,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// For any sample set spanning many orders of magnitude, the bucketed
-    /// p50/p95/p99 never undershoot the exact nearest-rank percentile and
+    /// p50/p95/p99 never undershoot the exact rounded-index percentile and
     /// overshoot by less than one bucket width (a bucket holds
     /// `[2^(b-1), 2^b - 1]`, so its upper bound is below twice any member).
     #[test]
