@@ -277,7 +277,7 @@ fn operator(inv: &Invocation) -> Result<(TemplateKind, Operator), String> {
     }
     let shape = Conv2dShape::try_new(d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7], d[8])?;
     Ok(match inv.switch("--winograd") {
-        true => (TemplateKind::Gemm, Operator::conv2d_winograd(shape)),
+        true => (TemplateKind::Gemm, Operator::try_conv2d_winograd(shape)?),
         false => (TemplateKind::Conv, Operator::conv2d(shape)),
     })
 }
@@ -1227,6 +1227,20 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn a_winograd_conv_the_transform_rejects_is_a_usage_error() {
+        let inv = parse("conv 1 1 8 8 1 5 5 1 0 --winograd").expect("conv parses");
+        let err = operator(&inv).err().unwrap_or_default();
+        assert!(err.starts_with("Winograd F(2x2, 3x3) requires"), "{err}");
+        let inv = parse("conv 4611686018427387904 1 1 1 1 3 3 1 1 --winograd").expect("parses");
+        assert_eq!(
+            operator(&inv).err().as_deref(),
+            Some("Winograd transform-domain extents overflow usize")
+        );
+        let inv = parse("conv 1 8 8 8 8 3 3 1 1 --winograd").expect("parses");
+        assert!(operator(&inv).is_ok());
     }
 
     fn serve_preset() -> ServeSpec {

@@ -111,12 +111,37 @@ pub struct GraphPlan {
     pub ops: Vec<OpPlan>,
 }
 
+/// One served operator: its program, graph weight and solo device time,
+/// ns.
+type ServedOp = (Arc<CompiledProgram>, usize, f64);
+
+/// Operators a [`ServedPlan`] keeps inline: a BERT layer's four
+/// projections. Longer graphs spill the rest to the heap.
+const INLINE_OPS: usize = 4;
+
 /// A [`GraphPlan`] as serving keeps it: each operator's program, graph
-/// weight and solo device time instead of its launches.
+/// weight and solo device time instead of its launches, inline for a
+/// graph of up to [`INLINE_OPS`] operators so planning a request
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ServedPlan {
     pub(crate) run: GraphRun,
-    ops: Vec<(Arc<CompiledProgram>, usize, f64)>,
+    inline: [Option<ServedOp>; INLINE_OPS],
+    spill: Vec<ServedOp>,
+}
+
+impl ServedPlan {
+    fn push(&mut self, op: ServedOp) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(op),
+            None => self.spill.push(op),
+        }
+    }
+
+    /// The operators in graph order.
+    fn ops(&self) -> impl Iterator<Item = &ServedOp> {
+        self.inline.iter().flatten().chain(&self.spill)
+    }
 }
 
 /// A dynamic-shape inference engine: per-template MikPoly compilers plus
@@ -322,8 +347,7 @@ impl Engine {
     ) -> Result<GraphPlan, MikPolyError> {
         let plan = self.plan_graph(ops, budget)?;
         let ops = plan
-            .ops
-            .iter()
+            .ops()
             .map(|(program, count, solo_ns)| OpPlan {
                 launch: self.launch_for(program),
                 reduction: program.reduction_launch(),
@@ -362,7 +386,7 @@ impl Engine {
                 out.run.degraded += 1;
             }
             out.run.executions += count;
-            out.ops.push((reply.program, count, solo_ns));
+            out.push((reply.program, count, solo_ns));
         }
         Ok(out)
     }
@@ -371,7 +395,7 @@ impl Engine {
     /// (they run one after another), read off their launch keys.
     pub(crate) fn wave_demand(&self, plan: &ServedPlan) -> u64 {
         let key = |p: &CompiledProgram| self.compiler_for(&p.operator).launch_key(p);
-        let demands = plan.ops.iter().map(|(p, ..)| key(p).warp_slots());
+        let demands = plan.ops().map(|(p, ..)| key(p).warp_slots());
         demands.max().unwrap_or(0)
     }
 
@@ -380,7 +404,7 @@ impl Engine {
     /// but from the launch memo. A rejected merged launch costs `k` solo runs.
     pub(crate) fn wave_device_ns(&self, plan: &ServedPlan, k: usize) -> f64 {
         let mut total = 0.0;
-        for (program, count, solo_ns) in &plan.ops {
+        for (program, count, solo_ns) in plan.ops() {
             let compiler = self.compiler_for(&program.operator);
             let merged_ns = compiler
                 .try_wave_ns(program, k)
@@ -674,6 +698,26 @@ mod tests {
         for op in &plan.ops {
             assert!(op.launch.grid_size() > 0);
             assert!(op.solo_ns > 0.0);
+        }
+    }
+
+    #[test]
+    fn served_plans_keep_a_layer_inline_and_spill_in_graph_order() {
+        let e = engine(ConvAlgorithm::ImplicitGemm);
+        let ops: Vec<Operator> = (1..=6)
+            .map(|m| Operator::gemm(GemmShape::new(64 * m, 64, 64)))
+            .collect();
+        for len in [1, INLINE_OPS, ops.len()] {
+            let graph = ops[..len].iter().map(|op| (op, 1));
+            let served = e.plan_graph(graph, CompileBudget::default()).expect("plan");
+            // No heap allocation until the inline slots are full.
+            let spilled = len.saturating_sub(INLINE_OPS);
+            assert_eq!(served.spill.len(), spilled, "{len} ops");
+            if spilled == 0 {
+                assert_eq!(served.spill.capacity(), 0, "{len} ops");
+            }
+            let planned: Vec<Operator> = served.ops().map(|(p, ..)| p.operator).collect();
+            assert_eq!(planned, ops[..len], "{len} ops");
         }
     }
 
@@ -1078,7 +1122,7 @@ mod memo_tests {
             let served = engine
                 .plan_graph(graph, CompileBudget::default())
                 .expect("replan hits");
-            for (op, (program, ..)) in plan.ops.iter().zip(&served.ops) {
+            for (op, (program, ..)) in plan.ops.iter().zip(served.ops()) {
                 let key = engine.compiler_for(&program.operator).launch_key(program);
                 assert_eq!(key.warp_slots(), warp_slots(&op.launch), "{}", machine.name);
             }
@@ -1101,10 +1145,8 @@ mod memo_tests {
         let engine = engine(&machine, &library(&machine), OnlineOptions::default());
         let mut program = (*engine.gemm_compiler().compile(&ops()[0])).clone();
         program.regions[0].kernel.warps = machine.warp_cap_per_pe + 1;
-        let plan = ServedPlan {
-            run: GraphRun::default(),
-            ops: vec![(Arc::new(program), 2, 1000.0)],
-        };
+        let mut plan = ServedPlan::default();
+        plan.push((Arc::new(program), 2, 1000.0));
         assert_eq!(engine.wave_device_ns(&plan, 3), 2.0 * 3.0 * 1000.0);
         let memo = engine.gemm_compiler().launch_memo_stats();
         assert_eq!((memo.misses, memo.computations, memo.entries), (1, 0, 0));

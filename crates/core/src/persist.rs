@@ -574,19 +574,9 @@ fn checked_view_extents(operator: &Operator) -> Option<[usize; 3]> {
             Some([view.m, view.n, view.k])
         }
         Operator::Conv2dWinograd { shape, .. } => {
-            let shape = constructed(shape)?;
-            if !tensor_ir::winograd_applicable(&shape) {
-                return None;
-            }
-            let tiles = shape
-                .out_h()
-                .div_ceil(2)
-                .checked_mul(shape.out_w().div_ceil(2))?;
-            Some([
-                shape.batch.checked_mul(tiles)?.checked_mul(16)?,
-                shape.out_channels,
-                shape.in_channels,
-            ])
+            let view = Operator::try_conv2d_winograd(constructed(shape)?).ok()?;
+            let view = view.gemm_view().shape;
+            Some([view.m, view.n, view.k])
         }
     }
 }

@@ -9,11 +9,14 @@
 //!   deadline passed before it arrived, is shed uncompiled. Every other
 //!   request goes through `ServingRuntime::compile_request`: breaker
 //!   check, panic-isolated budgeted compile, degraded fallback, and the
-//!   deterministic device-fault retry schedule. Under the solo policy the
-//!   cursor runs at most one request per worker past the oldest
-//!   unfinished one, since a solo worker holds its request to the end;
-//!   the set of compiles in flight together, and so which lookups
-//!   coalesce on one fill, follows from that.
+//!   deterministic device-fault retry schedule. The cursor claims a
+//!   request with one atomic increment. Under the solo policy a claimed
+//!   request then waits only for an older one still in phase A, one
+//!   request per worker or more behind it, that shares an operator with
+//!   it: a solo worker holds its request to the end, so such a repeat
+//!   hits the program the older one fills, while repeats closer than
+//!   that coalesce on its fill. Everything else compiles as soon as a
+//!   worker is free.
 //! * **Phase B: single-threaded replay.** The virtual timeline is
 //!   computed in arrival order: the deadline/tenant/queue shed and worker
 //!   placement, then device placement under the policy
@@ -34,6 +37,7 @@
 //! the timeline, so it never depends on OS scheduling.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -637,9 +641,12 @@ impl ServingRuntime {
     /// Returns one slot per request, in arrival order: the compile
     /// outcome, or the reason the request was shed uncompiled (a drain
     /// point it arrived past, then a deadline already passed at arrival).
-    /// The solo policy (`batched` false) bounds the cursor's lookahead to
-    /// the worker count. Every compile runs under the serve call's fault
-    /// context `faults`.
+    /// Under the solo policy (`batched` false) a request waits for an
+    /// open one that shares an operator with it and lies the worker
+    /// count or more before it; under the batched policy nothing waits.
+    /// The calling thread is worker 0, so the call spawns `workers - 1`
+    /// threads. Every compile runs under the serve call's fault context
+    /// `faults`.
     fn compile_phase(
         &self,
         ordered: &[&Request],
@@ -647,33 +654,41 @@ impl ServingRuntime {
         faults: Option<&FaultInjection>,
     ) -> Vec<Result<CompileOutcome, ShedReason>> {
         let lookahead = if batched { usize::MAX } else { self.workers };
-        let cursor = ArrivalCursor::new(ordered.len(), lookahead);
-        let mut slots: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut slots = Vec::new();
-                        while let Some(taken) = cursor.take() {
-                            let slot = self.admit(ordered[taken.index], faults);
-                            slots.push((taken.index, slot));
-                        }
-                        slots
-                    })
-                })
+        let cursor = ArrivalCursor::new(ordered, self.workers, lookahead);
+        let work = |worker: usize| {
+            let mut slots = Vec::new();
+            while let Some(taken) = cursor.take(worker) {
+                let index = taken.2;
+                slots.push((index, self.admit(ordered[index], faults)));
+            }
+            slots
+        };
+        let mut slots = std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (1..self.workers)
+                .map(|worker| scope.spawn(move || work(worker)))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // The compile is panic-isolated; if a worker dies
-                    // anyway, surface the panic rather than silently
-                    // dropping its requests.
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
+            // Worker 0 is the calling thread.
+            let mut slots = work(0);
+            for handle in handles {
+                // The compile is panic-isolated; if a worker dies anyway,
+                // surface the panic rather than silently dropping its
+                // requests.
+                let theirs = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                slots.extend(theirs);
+            }
+            slots
         });
         slots.sort_unstable_by_key(|&(i, _)| i);
+        // Phase B zips the slots with the requests: a lost or duplicated
+        // claim would misalign every later one.
+        let claimed = slots.iter().map(|&(i, _)| i);
+        assert!(
+            claimed.eq(0..ordered.len()),
+            "phase A claims each request once"
+        );
         slots.into_iter().map(|(_, slot)| slot).collect()
     }
 
@@ -826,70 +841,80 @@ impl ServingRuntime {
     }
 }
 
-/// Phase A's shared arrival cursor. It hands out request indices in
-/// order, but never one that lies `lookahead` or more past the oldest
-/// request still in phase A.
-struct ArrivalCursor {
+/// Phase A's shared arrival cursor: one atomic increment per request, in
+/// arrival order. A taken request waits only for an older one still in
+/// phase A, `lookahead` or more behind it, that shares an operator with
+/// it, so it hits the program that one fills; closer requests coalesce.
+struct ArrivalCursor<'r> {
+    requests: &'r [&'r Request],
     lookahead: usize,
-    state: Mutex<CursorState>,
-    finished: Condvar,
+    next: AtomicUsize,
+    /// Per worker, on a cache line of its own: the index it holds,
+    /// `CLAIMING` from before its increment until it stores it, or `IDLE`.
+    holding: Vec<Slot>,
+    /// Takers blocked on a conflict; a release skips the lock while zero.
+    waiters: AtomicUsize,
+    parked: (Mutex<()>, Condvar),
 }
 
-struct CursorState {
-    next: usize,
-    /// Every request before this index has left phase A.
-    oldest_open: usize,
-    done: Vec<bool>,
-}
+#[repr(align(128))]
+struct Slot(AtomicUsize);
+const IDLE: usize = usize::MAX;
+const CLAIMING: usize = usize::MAX - 1;
 
-/// A request index taken from an [`ArrivalCursor`]; dropping it, on
-/// return or unwind, marks the request finished.
-struct Taken<'a> {
-    cursor: &'a ArrivalCursor,
-    index: usize,
-}
+/// `(cursor, worker, index)`: a request a worker took. Dropping it, on
+/// return or unwind, releases the request and wakes its waiters.
+struct Taken<'c, 'r>(&'c ArrivalCursor<'r>, usize, usize);
 
-impl ArrivalCursor {
-    fn new(len: usize, lookahead: usize) -> Self {
+impl<'r> ArrivalCursor<'r> {
+    fn new(requests: &'r [&'r Request], workers: usize, lookahead: usize) -> Self {
         Self {
+            requests,
             lookahead,
-            state: Mutex::new(CursorState {
-                next: 0,
-                oldest_open: 0,
-                done: vec![false; len],
-            }),
-            finished: Condvar::new(),
+            next: AtomicUsize::new(0),
+            holding: (0..workers).map(|_| Slot(AtomicUsize::new(IDLE))).collect(),
+            waiters: AtomicUsize::new(0),
+            parked: (Mutex::new(()), Condvar::new()),
         }
     }
 
-    /// The next request index, once it is inside the window; `None` when
-    /// the stream is exhausted.
-    fn take(&self) -> Option<Taken<'_>> {
-        let mut state = self.state.lock();
-        while state.next < state.done.len() && state.next - state.oldest_open >= self.lookahead {
-            self.finished.wait(&mut state);
-        }
-        let index = state.next;
-        (index < state.done.len()).then(|| {
-            state.next += 1;
-            Taken {
-                cursor: self,
-                index,
+    /// `worker`'s next request, once no conflicting older one is open;
+    /// `None` when the stream is exhausted. All accesses are SeqCst, so a
+    /// taker sees every older request still open.
+    fn take(&self, worker: usize) -> Option<Taken<'_, 'r>> {
+        let mine = &self.holding[worker].0;
+        mine.store(CLAIMING, SeqCst);
+        let index = self.next.fetch_add(1, SeqCst);
+        let open = index < self.requests.len();
+        mine.store(if open { index } else { IDLE }, SeqCst);
+        let taken = open.then_some(Taken(self, worker, index))?;
+        let ops = |i: usize| self.requests[i].ops.iter().map(|(op, _)| op);
+        for Slot(slot) in &self.holding {
+            let mut held = slot.load(SeqCst);
+            while held == CLAIMING {
+                std::thread::yield_now();
+                held = slot.load(SeqCst);
             }
-        })
+            let far = held < index && index - held >= self.lookahead;
+            if far && ops(held).any(|a| ops(index).any(|b| a == b)) {
+                let mut guard = self.parked.0.lock();
+                self.waiters.fetch_add(1, SeqCst);
+                while slot.load(SeqCst) == held {
+                    self.parked.1.wait(&mut guard);
+                }
+                self.waiters.fetch_sub(1, SeqCst);
+            }
+        }
+        Some(taken)
     }
 }
 
-impl Drop for Taken<'_> {
+impl Drop for Taken<'_, '_> {
     fn drop(&mut self) {
-        let mut state = self.cursor.state.lock();
-        state.done[self.index] = true;
-        let before = state.oldest_open;
-        while state.done.get(state.oldest_open) == Some(&true) {
-            state.oldest_open += 1;
-        }
-        if state.oldest_open > before {
-            self.cursor.finished.notify_all();
+        self.0.holding[self.1].0.store(IDLE, SeqCst);
+        if self.0.waiters.load(SeqCst) > 0 {
+            drop(self.0.parked.0.lock());
+            self.0.parked.1.notify_all();
         }
     }
 }
@@ -1492,10 +1517,11 @@ mod tests {
     #[test]
     fn solo_lookahead_is_one_request_per_worker() {
         // Request 0 is a cold shape whose compile stalls 50 ms; 1..4 are
-        // cached; 5 repeats request 0's shape. A solo worker holds its
-        // request to the end, so with 2 workers the second one cannot
-        // pass request 1 while request 0 compiles, and request 5 later
-        // hits the filled cache instead of waiting on the fill.
+        // cached; 5 repeats request 0's shape. With 2 workers the second
+        // one runs 1..4 while request 0 compiles, since none shares its
+        // operator; request 5 does and lies a lookahead (one request per
+        // solo worker) or more past it, so it waits for request 0 and
+        // then hits the filled cache instead of waiting on the fill.
         let engine = engine();
         let gemm = |m, n, k| Operator::gemm(GemmShape::new(m, n, k));
         let warm = [
@@ -1526,6 +1552,121 @@ mod tests {
         assert_eq!(report.dispositions().completed, 6);
         assert_eq!(report.cache.coalesced_waits, 0, "{:?}", report.records[5]);
         assert_eq!(report.records[5].cache_wait_ns, 0);
+    }
+
+    /// A two-worker cursor over one GEMM request per index, where the
+    /// indices in `repeat` run request 0's operator and every other index
+    /// an operator of its own. It is leaked, so a taker a bug leaves
+    /// blocked fails its test on a timeout instead of hanging it.
+    fn cursor(n: usize, repeat: &[usize], lookahead: usize) -> &'static ArrivalCursor<'static> {
+        let requests: Vec<Request> = (0..n)
+            .map(|i| {
+                let m = if repeat.contains(&i) { 1 } else { 1 + i };
+                Request::single(i, i as f64, Operator::gemm(GemmShape::new(m, 64, 64)))
+            })
+            .collect();
+        let requests: &'static [Request] = Vec::leak(requests);
+        let ordered = Vec::leak(requests.iter().collect());
+        Box::leak(Box::new(ArrivalCursor::new(ordered, 2, lookahead)))
+    }
+
+    /// Takes `count` requests as `worker` on a thread of its own and
+    /// sends each index as soon as it is taken.
+    fn taker(
+        cursor: &'static ArrivalCursor<'static>,
+        worker: usize,
+        count: usize,
+    ) -> std::sync::mpsc::Receiver<usize> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..count {
+                let taken = cursor.take(worker).expect("a request is left");
+                tx.send(taken.2).unwrap();
+            }
+        });
+        rx
+    }
+
+    /// The next index a taker sends, or `None` if it sent none in 10 s.
+    fn next(taken: &std::sync::mpsc::Receiver<usize>) -> Option<usize> {
+        taken.recv_timeout(Duration::from_secs(10)).ok()
+    }
+
+    /// Spins until a taker blocks on a conflict; false after 10 s.
+    fn blocks(cursor: &ArrivalCursor<'_>) -> bool {
+        let start = Instant::now();
+        while cursor.waiters.load(SeqCst) == 0 {
+            if start.elapsed() > Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn cursor_claims_requests_on_other_operators_past_a_held_one() {
+        // The window is two requests. While request 0 is held, 1..=4 run
+        // other operators, so none of them waits, however far past
+        // request 0 it lies.
+        let cursor = cursor(5, &[], 2);
+        let held = cursor.take(0).unwrap();
+        assert_eq!(held.2, 0);
+        let taken = taker(cursor, 1, 4);
+        let got: Vec<Option<usize>> = (0..4).map(|_| next(&taken)).collect();
+        assert_eq!(got, [Some(1), Some(2), Some(3), Some(4)]);
+        assert_eq!(cursor.waiters.load(SeqCst), 0);
+        drop(held);
+        assert!(cursor.take(0).is_none(), "the stream is exhausted");
+    }
+
+    #[test]
+    fn cursor_blocks_a_request_on_its_held_operator_until_release() {
+        // Request 5 runs request 0's operator and lies past the window:
+        // its taker blocks until request 0's guard drops, and only then.
+        let cursor = cursor(6, &[5], 2);
+        let held = cursor.take(0).unwrap();
+        let taken = taker(cursor, 1, 5);
+        let got: Vec<Option<usize>> = (0..4).map(|_| next(&taken)).collect();
+        assert_eq!(got, [Some(1), Some(2), Some(3), Some(4)]);
+        assert!(blocks(cursor), "request 5 never waited for request 0");
+        assert!(taken.try_recv().is_err(), "request 5 passed held request 0");
+        drop(held);
+        assert_eq!(next(&taken), Some(5), "releasing request 0 frees request 5");
+    }
+
+    #[test]
+    fn cursor_claims_same_operator_requests_inside_the_window_together() {
+        // Requests 0 and 1 share an operator one request apart, inside
+        // the two-request window: both are held at once, so the second
+        // coalesces on the first's fill.
+        let cursor = cursor(2, &[1], 2);
+        let held = cursor.take(0).unwrap();
+        assert_eq!(next(&taker(cursor, 1, 1)), Some(1));
+        assert_eq!(cursor.waiters.load(SeqCst), 0);
+        drop(held);
+    }
+
+    #[test]
+    fn cursor_releases_a_waiter_when_a_panic_drops_the_guard() {
+        // A one-request window: request 1 repeats request 0's operator,
+        // so it waits for request 0, whose worker then dies.
+        let cursor = cursor(2, &[1], 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dying = std::thread::spawn(move || {
+            let _taken = cursor.take(0).unwrap();
+            tx.send(()).unwrap();
+            if blocks(cursor) {
+                panic!("worker died holding request 0");
+            }
+        });
+        rx.recv().unwrap();
+        let taken = taker(cursor, 1, 1);
+        assert!(
+            dying.join().is_err(),
+            "request 1 never waited for request 0"
+        );
+        assert_eq!(next(&taken), Some(1));
     }
 
     /// Overlapping serve calls on one engine each see only their own fault

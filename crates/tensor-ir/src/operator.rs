@@ -92,16 +92,37 @@ impl Operator {
     ///
     /// # Panics
     ///
-    /// Panics if the shape is not a unit-stride 3x3 convolution.
+    /// Panics where [`Operator::try_conv2d_winograd`] errs.
     pub fn conv2d_winograd(shape: Conv2dShape) -> Self {
-        assert!(
-            crate::winograd::winograd_applicable(&shape),
-            "Winograd F(2x2, 3x3) requires a 3x3 filter with stride 1, got {shape}"
-        );
-        Operator::Conv2dWinograd {
+        Self::try_conv2d_winograd(shape).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// An fp16 Winograd-path convolution operator, or why the shape has
+    /// none.
+    ///
+    /// # Errors
+    ///
+    /// When the shape is not a unit-stride 3x3 convolution, or the
+    /// transform-domain GEMM's `16 · batch · tiles` rows
+    /// ([`crate::winograd_gemm_shape`]) overflow `usize`.
+    pub fn try_conv2d_winograd(shape: Conv2dShape) -> Result<Self, String> {
+        if !crate::winograd::winograd_applicable(&shape) {
+            return Err(format!(
+                "Winograd F(2x2, 3x3) requires a 3x3 filter with stride 1, got {shape}"
+            ));
+        }
+        let (th, tw) = crate::winograd::tiles_per_image(&shape);
+        let rows = th
+            .checked_mul(tw)
+            .and_then(|tiles| tiles.checked_mul(shape.batch))
+            .and_then(|m| m.checked_mul(16));
+        if rows.is_none() {
+            return Err("Winograd transform-domain extents overflow usize".into());
+        }
+        Ok(Operator::Conv2dWinograd {
             shape,
             dtype: DType::F16,
-        }
+        })
     }
 
     /// The element type of the operator's inputs.
@@ -217,6 +238,24 @@ mod tests {
         assert_eq!(op.gemm_view().shape, c.as_gemm());
         assert!(op.gemm_view().load_scale > 1.0);
         assert_eq!(op.flops(), c.flops());
+    }
+
+    #[test]
+    fn winograd_rejects_other_filters_and_overflowing_views() {
+        let strided = Conv2dShape::new(1, 1, 8, 8, 1, 5, 5, 1, 0);
+        let err = Operator::try_conv2d_winograd(strided).unwrap_err();
+        assert!(err.starts_with("Winograd F(2x2, 3x3) requires"), "{err}");
+        // 2^62 images of one tile each: 16 · batch wraps.
+        let huge = Conv2dShape::new(1 << 62, 1, 1, 1, 1, 3, 3, 1, 1);
+        assert_eq!(
+            Operator::try_conv2d_winograd(huge).unwrap_err(),
+            "Winograd transform-domain extents overflow usize"
+        );
+        let fine = Conv2dShape::square(2, 16, 14, 32, 3, 1);
+        assert_eq!(
+            Operator::try_conv2d_winograd(fine),
+            Ok(Operator::conv2d_winograd(fine))
+        );
     }
 
     #[test]

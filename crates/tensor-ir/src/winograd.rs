@@ -90,7 +90,7 @@ pub fn winograd_applicable(shape: &Conv2dShape) -> bool {
 }
 
 /// Number of 2x2 output tiles per image.
-fn tiles_per_image(shape: &Conv2dShape) -> (usize, usize) {
+pub(crate) fn tiles_per_image(shape: &Conv2dShape) -> (usize, usize) {
     (shape.out_h().div_ceil(2), shape.out_w().div_ceil(2))
 }
 

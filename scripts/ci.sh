@@ -28,6 +28,16 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --offline --workspace
 
+# Phase A's arrival cursor claims requests without a lock, so a lost or
+# duplicated claim may show only under a rare interleaving: rerun its
+# unit tests and the serving stress test ten times.
+echo "==> arrival cursor tests and serving stress test, 10 runs (release)"
+for _ in $(seq 10); do
+  cargo test -q --release --offline -p mikpoly --lib -- serving::worker::tests::cursor_
+  cargo test -q --release --offline --test serving_concurrency \
+    eight_workers_stress_the_arrival_cursor_under_both_policies
+done
+
 echo "==> smoke: mikpoly serve --trace-out / --metrics-out"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -67,6 +77,18 @@ if [ "$status" -ne 2 ]; then
   echo "error: 'mikpoly conv 1 1 2 2 1 5 5 1 0' exited $status, expected 2" >&2
   exit 1
 fi
+# So is a Winograd convolution the transform cannot take: a filter that
+# is not 3x3 with stride 1, and a transform-domain view that overflows.
+echo "==> CLI smoke: a Winograd conv the transform rejects exits 2"
+for operands in "1 1 8 8 1 5 5 1 0" "4611686018427387904 1 1 1 1 3 3 1 1"; do
+  status=0
+  # shellcheck disable=SC2086 # the operands are meant to split
+  ./target/release/mikpoly conv $operands --winograd 2> /dev/null || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "error: 'mikpoly conv $operands --winograd' exited $status, expected 2" >&2
+    exit 1
+  fi
+done
 
 # Observability smoke: a deadline-starved serve must trip the SLO
 # engine and auto-dump the flight-recorder blackbox, and the health

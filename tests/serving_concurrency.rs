@@ -344,3 +344,66 @@ fn capacity_one_cache_thrashes_and_evicts_under_alternation() {
     let want = reference_gemm(a, &ta, &tb);
     mikpoly_conformance::assert_matches_reference(&got, &want, "post-eviction gemm");
 }
+
+/// The phase-A cursor under load: 8 workers, under both dispatch
+/// policies, serve 50 calls of 400 requests on one engine. Each call
+/// brings 40 fresh shapes, repeated ten times over; every third request
+/// is a two-operator graph whose first operator a single-operator
+/// request also runs. However the claims interleave, each call must
+/// record every request exactly once and polymerize each of its shapes
+/// once, and the caches must stay consistent.
+#[test]
+fn eight_workers_stress_the_arrival_cursor_under_both_policies() {
+    use mikpoly_suite::mikpoly::{BatchingOptions, ServingOptions};
+    let engine = Arc::new(Engine::offline(MachineModel::a100(), &{
+        let mut o = OfflineOptions::fast();
+        o.n_gen = 4;
+        o
+    }));
+    let (calls, per_call, menu) = (50, 400, 40);
+    let mut fresh = 0;
+    for batched in [false, true] {
+        let options = ServingOptions {
+            batching: batched.then(BatchingOptions::default),
+            ..ServingOptions::default()
+        };
+        let cluster = Cluster::new(MachineModel::a100(), 4, Interconnect::nvlink3());
+        let runtime = ServingRuntime::new(Arc::clone(&engine), cluster, 8).with_options(options);
+        for call in 0..calls {
+            let ops: Vec<Operator> = (0..menu)
+                .map(|_| {
+                    fresh += 1;
+                    Operator::gemm(GemmShape::new(fresh, 64, 32))
+                })
+                .collect();
+            let requests: Vec<Request> = poisson_arrivals(per_call, 50_000.0, call as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(id, arrival_ns)| {
+                    let mut request = Request::single(id, arrival_ns, ops[id % menu]);
+                    if id % 3 == 0 {
+                        request.ops.push((ops[(id + 7) % menu], 2));
+                    }
+                    request
+                })
+                .collect();
+            let before = engine.gemm_compiler().cache_stats().computations;
+            let report = runtime.serve(&requests);
+
+            let context = format!("batched {batched}, call {call}");
+            let mut ids: Vec<usize> = report.records.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..per_call).collect::<Vec<_>>(), "{context}");
+            assert_eq!(report.dispositions().total(), per_call, "{context}");
+            assert_eq!(
+                engine.gemm_compiler().cache_stats().computations - before,
+                menu as u64,
+                "{context}: one polymerization per distinct shape"
+            );
+            engine
+                .gemm_compiler()
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+        }
+    }
+}
