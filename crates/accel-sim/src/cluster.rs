@@ -29,14 +29,6 @@ impl Interconnect {
             latency_ns: 20_000.0,
         }
     }
-
-    /// PCIe 4.0 x16 (~25 GB/s effective per direction, higher latency).
-    pub fn pcie4() -> Self {
-        Self {
-            link_gbps: 25.0,
-            latency_ns: 50_000.0,
-        }
-    }
 }
 
 /// A homogeneous multi-device cluster running tensor parallelism.
@@ -111,7 +103,12 @@ mod tests {
     #[test]
     fn nvlink_beats_pcie() {
         let nv = Cluster::new(MachineModel::a100(), 4, Interconnect::nvlink3());
-        let pci = Cluster::new(MachineModel::a100(), 4, Interconnect::pcie4());
+        // PCIe 4.0 x16: ~25 GB/s effective per direction, higher latency.
+        let pcie4 = Interconnect {
+            link_gbps: 25.0,
+            latency_ns: 50_000.0,
+        };
+        let pci = Cluster::new(MachineModel::a100(), 4, pcie4);
         assert!(nv.allreduce_ns(1e8) < pci.allreduce_ns(1e8) / 5.0);
     }
 

@@ -211,12 +211,6 @@ impl MachineModel {
     pub fn pe_bandwidth_bytes_per_ns(&self) -> f64 {
         self.global_bandwidth_gbps * self.mem_amplification / self.num_pes as f64
     }
-
-    /// Whether this machine has matrix (tensor-core / cube) units with an
-    /// alignment-sensitive fragment shape.
-    pub fn has_matrix_units(&self) -> bool {
-        self.mma.area() > 16
-    }
 }
 
 impl std::fmt::Display for MachineModel {
@@ -266,8 +260,7 @@ mod tests {
         let cc = MachineModel::a100_cuda_cores();
         assert_eq!(tc.num_pes, cc.num_pes);
         assert!(cc.peak_flops() < tc.peak_flops() / 3.0);
-        assert!(!cc.has_matrix_units());
-        assert!(tc.has_matrix_units());
+        assert!(cc.mma.area() < tc.mma.area());
     }
 
     #[test]

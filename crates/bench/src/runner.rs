@@ -41,22 +41,6 @@ pub fn model_latency_ns(
     Ok(total)
 }
 
-/// Latency across a sequence of graphs (e.g. prefill + decode blocks).
-///
-/// # Errors
-///
-/// Propagates the first backend error.
-pub fn graphs_latency_ns(
-    graphs: &[ModelGraph],
-    gemm_backend: &dyn Backend,
-    conv_backend: &dyn Backend,
-) -> Result<f64, BackendError> {
-    graphs
-        .iter()
-        .map(|g| model_latency_ns(g, gemm_backend, conv_backend))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,15 +55,5 @@ mod tests {
         let short = model_latency_ns(&bert.graph(1, 32), &vendor, &vendor).expect("run");
         let long = model_latency_ns(&bert.graph(1, 512), &vendor, &vendor).expect("run");
         assert!(long > 2.0 * short);
-    }
-
-    #[test]
-    fn graphs_latency_sums() {
-        let vendor = VendorLibrary::cublas(MachineModel::a100());
-        let bert = TransformerConfig::bert_base();
-        let g = bert.graph(1, 64);
-        let one = model_latency_ns(&g, &vendor, &vendor).expect("run");
-        let two = graphs_latency_ns(&[g.clone(), g], &vendor, &vendor).expect("run");
-        assert!((two - 2.0 * one).abs() < 1e-6);
     }
 }

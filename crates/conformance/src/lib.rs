@@ -102,14 +102,6 @@ impl ConformanceEnv {
         }
     }
 
-    /// Overrides the offline options of every compiler built by this
-    /// environment (builder style; call before first use).
-    #[must_use]
-    pub fn with_offline_options(mut self, offline: OfflineOptions) -> Self {
-        self.offline = offline;
-        self
-    }
-
     /// Overrides the online options of every compiler built by this
     /// environment (builder style; call before first use).
     #[must_use]

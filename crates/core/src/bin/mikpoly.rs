@@ -64,11 +64,11 @@ use std::time::{Duration, Instant};
 
 use accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly::serving::poisson_arrivals;
-use mikpoly::telemetry::{render_blackbox, SloPolicy, Telemetry};
+use mikpoly::telemetry::{render_blackbox, Telemetry};
 use mikpoly::{
-    encode_bundle, BatchingOptions, BreakerPolicy, CompiledProgram, Disposition, Engine, MikPoly,
-    OfflineOptions, OnlineOptions, PatternId, Region, Request, ServingOptions, ServingReport,
-    ServingRuntime, ShardedCache, Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
+    encode_bundle, BatchingOptions, CompiledProgram, Disposition, Engine, MikPoly, OfflineOptions,
+    OnlineOptions, PatternId, Region, Request, ServingOptions, ServingReport, ServingRuntime,
+    ShardedCache, Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -465,7 +465,7 @@ impl ServeSpec {
                     _ => inv.get("--queue-capacity")?,
                 },
                 compile_budget: inv.get("--compile-budget-us")?.map(Duration::from_micros),
-                breaker: smoke.then(BreakerPolicy::default),
+                breaker: smoke,
                 fault_plan: match output {
                     Output::Chaos => Some(plan),
                     Output::Health => (rate > 0.0).then_some(plan),
@@ -476,7 +476,6 @@ impl ServeSpec {
                     .map(|us: f64| BatchingOptions::new(us * 1e3, max_batch)),
                 tenancy: (tenants > 1)
                     .then(|| TenantPolicy::new((0..tenants).map(quota).collect())),
-                ..ServingOptions::default()
             },
             snapshot_dir: inv.get("--snapshot-dir")?,
             snapshot_interval: Duration::from_millis(interval_ms),
@@ -648,24 +647,21 @@ impl ServeSpec {
         }
     }
 
-    /// The default SLO policy with the compile budget as its compile-p99
-    /// budget.
-    fn health_policy(&self) -> SloPolicy {
-        SloPolicy {
-            compile_p99_budget_ns: self.options.compile_budget.map(|b| b.as_nanos() as f64),
-            ..SloPolicy::default()
-        }
+    /// The compile budget, as the SLO's compile-p99 budget in ns.
+    fn compile_p99_budget_ns(&self) -> Option<f64> {
+        self.options.compile_budget.map(|b| b.as_nanos() as f64)
     }
 
-    /// Evaluates the stream against the health policy and prints the
-    /// snapshot: a table, or the snapshot JSON with `--json`.
+    /// Evaluates the stream against the SLO, with the compile budget as
+    /// its compile-p99 budget, and prints the snapshot: a table, or the
+    /// snapshot JSON with `--json`.
     /// Self-validating: the rendered JSON is parsed back and its
     /// disposition counts compared against the serving report's; a
     /// malformed snapshot or any mismatch exits 1. An SLO violation alone
     /// does not fail the command (an unhealthy service still has healthy
     /// telemetry).
     fn print_health(&self, report: &ServingReport) {
-        let slo = report.evaluate_slo(self.health_policy());
+        let slo = report.evaluate_slo(self.compile_p99_budget_ns());
         let rendered = slo.render_json();
         let counts = report.dispositions();
         let expected = serde_json::json!({
@@ -732,7 +728,7 @@ impl ServeSpec {
             eprintln!("metrics: wrote {} bytes to {path}", text.len());
         }
         if let Some(path) = &self.blackbox_out {
-            let slo = report.evaluate_slo(SloPolicy::default());
+            let slo = report.evaluate_slo(None);
             if slo.violated {
                 let (recorder, chains) = (telemetry.recorder(), telemetry.recorder().snapshot());
                 let dump = render_blackbox(&slo, &chains, recorder, telemetry.dropped_spans());
@@ -1306,7 +1302,7 @@ mod tests {
             seed: 7,
             options: ServingOptions {
                 compile_budget: Some(Duration::from_millis(20)),
-                breaker: Some(BreakerPolicy::default()),
+                breaker: true,
                 fault_plan: Some(Arc::new(FaultPlan {
                     seed: 7,
                     device_fault_rate: r,
@@ -1345,14 +1341,14 @@ mod tests {
             options: ServingOptions {
                 queue_capacity: Some(8),
                 compile_budget: Some(Duration::from_millis(20)),
-                breaker: Some(BreakerPolicy::default()),
+                breaker: true,
                 ..ServingOptions::default()
             },
             snapshot_interval: Duration::ZERO,
             ..serve_preset()
         };
         assert_same(&spec("health"), &health);
-        assert_eq!(health.health_policy().compile_p99_budget_ns, Some(20e6));
+        assert_eq!(health.compile_p99_budget_ns(), Some(20e6));
         let faulty = spec("health --fault-rate 0.1");
         let plan = FaultPlan {
             seed: 7,

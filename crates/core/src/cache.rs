@@ -478,16 +478,7 @@ pub struct ShardedCache<K, V> {
 impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// A cache with [`DEFAULT_SHARDS`] shards and no capacity bound.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A cache with an explicit shard count (power of two recommended).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_capacity(shards, None)
+        Self::with_capacity(None)
     }
 
     /// A cache holding at most `capacity` ready entries; once over the
@@ -496,13 +487,12 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// second life. A `capacity` of zero is treated as one — an empty
     /// bound would evict every fill before its caller returned.
     pub fn bounded(capacity: usize) -> Self {
-        Self::with_shards_and_capacity(DEFAULT_SHARDS, Some(capacity.max(1)))
+        Self::with_capacity(Some(capacity.max(1)))
     }
 
-    fn with_shards_and_capacity(shards: usize, capacity: Option<usize>) -> Self {
-        assert!(shards > 0, "cache needs at least one shard");
+    fn with_capacity(capacity: Option<usize>) -> Self {
         Self {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..DEFAULT_SHARDS).map(|_| Shard::new()).collect(),
             counters: Counters::new(),
             capacity,
             eviction: Mutex::new(EvictionState::new()),
@@ -1338,7 +1328,7 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::with_shards(16);
+        let cache: ShardedCache<u64, u64> = ShardedCache::new();
         for k in 0..256 {
             cache.insert(k, Arc::new(k));
         }

@@ -3,11 +3,13 @@
 //! [`MikPoly`] optimizes one operator template at a time; a real runtime
 //! owns one compiler per template (GEMM, implicit-GEMM convolution) and
 //! routes each incoming operator to the right one. [`Engine`] packages that
-//! — plus *algorithm selection*: for eligible convolutions it can compare
-//! the cost model's predictions for the implicit-GEMM and Winograd
-//! `F(2x2, 3x3)` lowerings and dispatch the cheaper one, the role cuDNN's
-//! algorithm heuristics play (and the natural home for the paper's
-//! Section 7 Winograd future work).
+//! — plus *algorithm selection*, one of two [`ConvAlgorithm`] policies:
+//! [`ConvAlgorithm::ImplicitGemm`] (the default) lowers every convolution
+//! through implicit GEMM, and [`ConvAlgorithm::CostBased`] compares the
+//! cost model's predictions for the implicit-GEMM and Winograd
+//! `F(2x2, 3x3)` lowerings of an eligible convolution (3x3, stride 1) and
+//! dispatches the cheaper one, the role cuDNN's algorithm heuristics play
+//! (and the natural home for the paper's Section 7 Winograd future work).
 
 use std::sync::Arc;
 
@@ -24,18 +26,18 @@ use crate::offline::OfflineOptions;
 use crate::offline::TemplateKind;
 use crate::plan::CompiledProgram;
 
-/// How the engine chooses a convolution algorithm.
+/// How the engine chooses a convolution algorithm: a fixed lowering or
+/// the cost model's pick. Ineligible convolutions (not 3x3 stride 1)
+/// always lower through implicit GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ConvAlgorithm {
     /// Always lower through im2col / implicit GEMM (the paper's
     /// implementation).
     #[default]
     ImplicitGemm,
-    /// Always use Winograd `F(2x2, 3x3)` where eligible (3x3, stride 1),
-    /// implicit GEMM otherwise.
-    WinogradWhenEligible,
-    /// Compile both lowerings for eligible convolutions and dispatch the
-    /// one the cost model predicts faster.
+    /// Compile both lowerings, implicit GEMM and Winograd `F(2x2, 3x3)`,
+    /// for eligible convolutions and dispatch the one the cost model
+    /// predicts faster.
     CostBased,
 }
 
@@ -269,7 +271,7 @@ impl Engine {
     /// [`Engine::select`] under the caller's budget: cost-based selection
     /// compiles both lowerings through the budgeted ladder, so a
     /// deadline, `degrade_only` or a fault plan bounds it like any other
-    /// compile. The fixed policies do no compile work.
+    /// compile. The fixed policy does no compile work.
     fn try_select(
         &self,
         operator: &Operator,
@@ -279,7 +281,6 @@ impl Engine {
             Operator::Conv2d { shape, .. } if winograd_applicable(&shape) => {
                 match self.conv_algorithm {
                     ConvAlgorithm::ImplicitGemm => *operator,
-                    ConvAlgorithm::WinogradWhenEligible => Operator::conv2d_winograd(shape),
                     ConvAlgorithm::CostBased => {
                         let direct = self.conv.try_compile(operator, budget)?;
                         let wino_op = Operator::conv2d_winograd(shape);
@@ -620,14 +621,14 @@ mod tests {
     }
 
     #[test]
-    fn winograd_when_eligible_rewrites_only_eligible_convs() {
-        let e = engine(ConvAlgorithm::WinogradWhenEligible);
-        let eligible = Operator::conv2d(Conv2dShape::square(1, 16, 14, 16, 3, 1));
-        assert_eq!(e.select(&eligible).kind(), "conv2d-winograd");
+    fn cost_based_selection_keeps_ineligible_convs_direct() {
+        let e = engine(ConvAlgorithm::CostBased);
         let strided = Operator::conv2d(Conv2dShape::square(1, 16, 14, 16, 3, 2));
         assert_eq!(e.select(&strided).kind(), "conv2d");
         let five = Operator::conv2d(Conv2dShape::square(1, 16, 14, 16, 5, 1));
         assert_eq!(e.select(&five).kind(), "conv2d");
+        // Neither is a Winograd candidate, so no Winograd view was compiled.
+        assert_eq!(e.gemm_compiler().cache_stats().computations, 0);
     }
 
     #[test]

@@ -88,7 +88,10 @@ pub use persist::{
 };
 pub use plan::{CompiledProgram, CoverageError, Region, SearchStats};
 pub use recovery::{quarantine_file, BundleRestore, Manifest, RestoreOutcome, RestoreReport};
-pub use resilience::{BreakerDecision, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
+pub use resilience::{
+    BreakerDecision, BreakerState, CircuitBreaker, BREAKER_COOLDOWN_NS, BREAKER_FAILURE_THRESHOLD,
+    MAX_RETRIES, RETRY_BACKOFF_NS,
+};
 pub use search::{SearchPolicy, SearchRun};
 pub use serving::{
     percentile, poisson_arrivals, BatchingOptions, Disposition, DispositionCounts, DrainReport,

@@ -126,16 +126,6 @@ impl PerfModel {
     pub fn segments(&self) -> &[Segment] {
         &self.segments
     }
-
-    /// Mean relative error against a set of `(t, truth_ns)` points.
-    pub fn mean_relative_error(&self, truth: &[(usize, f64)]) -> f64 {
-        assert!(!truth.is_empty(), "need at least one evaluation point");
-        truth
-            .iter()
-            .map(|&(t, v)| (self.predict(t) - v).abs() / v.max(1e-9))
-            .sum::<f64>()
-            / truth.len() as f64
-    }
 }
 
 /// Ordinary least squares for `y = a + b x` over `(t, y)` samples.
@@ -198,7 +188,12 @@ mod tests {
             .collect();
         let model = PerfModel::fit(&samples, 4);
         let pts: Vec<(usize, f64)> = (1..100).map(|t| (t * 20, truth(t * 20))).collect();
-        assert!(model.mean_relative_error(&pts) < 0.03);
+        let mean_relative_error = pts
+            .iter()
+            .map(|&(t, v)| (model.predict(t) - v).abs() / v)
+            .sum::<f64>()
+            / pts.len() as f64;
+        assert!(mean_relative_error < 0.03);
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl Region {
     pub fn instances(&self, k: usize) -> usize {
         self.kernel.instances_for(k)
     }
-
-    /// The fraction of computed output elements that are padding.
-    pub fn padding_waste(&self) -> f64 {
-        let useful = (self.rows() * self.cols()) as f64;
-        let padded = (self.rows().div_ceil(self.kernel.um) * self.kernel.um) as f64
-            * (self.cols().div_ceil(self.kernel.un) * self.kernel.un) as f64;
-        1.0 - useful / padded
-    }
 }
 
 /// Statistics of one online polymerization search, reported by Fig. 12(a).
@@ -166,14 +158,6 @@ impl CompiledProgram {
     /// including split-K replication.
     pub fn grid_size(&self) -> usize {
         self.regions.iter().map(Region::tasks).sum::<usize>() * self.split_k.max(1)
-    }
-
-    /// Number of distinct micro-kernels used.
-    pub fn kernels_used(&self) -> usize {
-        let mut ids: Vec<_> = self.regions.iter().map(|r| r.kernel.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
     }
 
     /// Builds the device launch with dynamic (hardware-scheduler) placement:
@@ -416,9 +400,6 @@ mod tests {
         let r = Region::new(0, 100, 0, 100, mk(64, 64, 32));
         assert_eq!(r.tasks(), 4);
         assert_eq!(r.instances(100), 4);
-        assert!(r.padding_waste() > 0.0);
-        let exact = Region::new(0, 128, 0, 128, mk(64, 64, 32));
-        assert_eq!(exact.padding_waste(), 0.0);
     }
 
     #[test]
@@ -553,19 +534,5 @@ mod tests {
         assert_eq!(reduction.grid_size(), 2 * 2);
         let rendered = p.to_string();
         assert!(rendered.contains("split-K x4"), "{rendered}");
-    }
-
-    #[test]
-    fn kernels_used_deduplicates() {
-        let p = program(
-            128,
-            64,
-            32,
-            vec![
-                Region::new(0, 64, 0, 64, mk(64, 64, 32)),
-                Region::new(64, 128, 0, 64, mk(64, 64, 32)),
-            ],
-        );
-        assert_eq!(p.kernels_used(), 1);
     }
 }

@@ -2,15 +2,16 @@
 //!
 //! Two failure regimes need different medicine. *Transient* faults (a
 //! one-off device error) clear on their own: the right response is a
-//! bounded retry with exponential backoff, paid in virtual device time.
-//! *Persistent* faults (a shape whose compilation panics every time) do
-//! not: retrying burns the full failure cost on every request of that
-//! shape. The per-shape [`CircuitBreaker`] cuts that loss — after
-//! [`BreakerPolicy::failure_threshold`] consecutive failures the shape's
-//! breaker *opens* and requests route straight to the degraded compile
-//! path; after [`BreakerPolicy::cooldown_ns`] of virtual time it
-//! *half-opens* and lets exactly one probe retry the full path, closing
-//! again on success.
+//! bounded retry with exponential backoff, paid in virtual device time:
+//! up to [`MAX_RETRIES`] retries, the first after [`RETRY_BACKOFF_NS`],
+//! each later one after twice the previous backoff. *Persistent* faults
+//! (a shape whose compilation panics every time) do not: retrying burns
+//! the full failure cost on every request of that shape. The per-shape
+//! [`CircuitBreaker`] cuts that loss — after [`BREAKER_FAILURE_THRESHOLD`]
+//! consecutive failures the shape's breaker *opens* and requests route
+//! straight to the degraded compile path; after [`BREAKER_COOLDOWN_NS`]
+//! of virtual time it *half-opens* and lets exactly one probe retry the
+//! full path, closing again on success.
 //!
 //! The breaker is keyed by shape (not request): a poisoned shape must not
 //! affect healthy traffic. State updates happen from concurrently
@@ -24,51 +25,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-/// Bounded retry with exponential backoff, for transient faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// Virtual backoff before the first retry, ns.
-    pub backoff_ns: f64,
-    /// Backoff multiplier per subsequent retry.
-    pub backoff_multiplier: f64,
-}
+/// Device-fault retries after a request's first attempt.
+pub const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            backoff_ns: 2_000.0,
-            backoff_multiplier: 2.0,
-        }
-    }
-}
+/// Virtual backoff before the first device-fault retry, ns; each later
+/// retry waits twice as long as the one before.
+pub const RETRY_BACKOFF_NS: f64 = 2_000.0;
 
-impl RetryPolicy {
-    /// The virtual backoff before retry number `retry` (0-based).
-    pub fn backoff_for(&self, retry: u32) -> f64 {
-        self.backoff_ns * self.backoff_multiplier.powi(retry as i32)
-    }
-}
+/// Consecutive full-path failures that open a shape's breaker.
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
 
-/// When a shape's breaker opens and how long it stays open.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerPolicy {
-    /// Consecutive full-path failures that open the breaker.
-    pub failure_threshold: u32,
-    /// Virtual time an open breaker blocks the full path before
-    /// half-opening for a probe, ns.
-    pub cooldown_ns: f64,
-}
+/// Virtual time an open breaker blocks the full path before half-opening
+/// for a probe, ns (1 ms of serving time).
+pub const BREAKER_COOLDOWN_NS: f64 = 1_000_000.0;
 
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            cooldown_ns: 1_000_000.0, // 1 ms of virtual serving time
-        }
-    }
+/// The virtual backoff before retry number `retry` (0-based), ns.
+pub(crate) fn backoff_ns(retry: u32) -> f64 {
+    RETRY_BACKOFF_NS * 2f64.powi(retry as i32)
 }
 
 /// Observable state of one shape's breaker.
@@ -106,24 +79,23 @@ struct ShapeBreaker {
 /// Per-shape circuit breaker over virtual serving time.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    policy: BreakerPolicy,
     shapes: Mutex<HashMap<u64, ShapeBreaker>>,
     opens: AtomicU64,
 }
 
+impl Default for CircuitBreaker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CircuitBreaker {
-    /// A breaker with the given policy and no tripped shapes.
-    pub fn new(policy: BreakerPolicy) -> Self {
+    /// A breaker with no tripped shapes.
+    pub fn new() -> Self {
         Self {
-            policy,
             shapes: Mutex::new(HashMap::new()),
             opens: AtomicU64::new(0),
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> BreakerPolicy {
-        self.policy
     }
 
     /// Decides how a request of shape `key` arriving at virtual `now_ns`
@@ -179,10 +151,10 @@ impl CircuitBreaker {
         state.consecutive_failures += 1;
         let was_probe = state.probe_outstanding;
         state.probe_outstanding = false;
-        let trip = was_probe || state.consecutive_failures >= self.policy.failure_threshold;
+        let trip = was_probe || state.consecutive_failures >= BREAKER_FAILURE_THRESHOLD;
         if trip {
             state.open = true;
-            state.open_until_ns = now_ns + self.policy.cooldown_ns;
+            state.open_until_ns = now_ns + BREAKER_COOLDOWN_NS;
             self.opens.fetch_add(1, Ordering::Relaxed);
         }
         trip
@@ -193,11 +165,6 @@ impl CircuitBreaker {
     pub fn opens(&self) -> u64 {
         self.opens.load(Ordering::Relaxed)
     }
-
-    /// Shapes whose breaker is currently open or half-open.
-    pub fn tripped_shapes(&self) -> usize {
-        self.shapes.lock().values().filter(|s| s.open).count()
-    }
 }
 
 #[cfg(test)]
@@ -206,33 +173,29 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let retry = RetryPolicy {
-            max_retries: 3,
-            backoff_ns: 100.0,
-            backoff_multiplier: 2.0,
-        };
-        assert_eq!(retry.backoff_for(0), 100.0);
-        assert_eq!(retry.backoff_for(1), 200.0);
-        assert_eq!(retry.backoff_for(2), 400.0);
+        assert_eq!(backoff_ns(0), 2_000.0);
+        assert_eq!(backoff_ns(1), 4_000.0);
+        assert_eq!(backoff_ns(2), 8_000.0);
     }
 
     #[test]
     fn breaker_opens_after_threshold_and_half_opens_after_cooldown() {
-        let breaker = CircuitBreaker::new(BreakerPolicy {
-            failure_threshold: 2,
-            cooldown_ns: 1000.0,
-        });
+        let breaker = CircuitBreaker::new();
         assert_eq!(breaker.check(7, 0.0), BreakerDecision::Allow);
         assert!(!breaker.record_failure(7, 0.0));
-        assert_eq!(breaker.state(7, 1.0), BreakerState::Closed);
-        assert!(breaker.record_failure(7, 10.0), "second failure trips");
-        assert_eq!(breaker.state(7, 11.0), BreakerState::Open);
-        assert_eq!(breaker.check(7, 500.0), BreakerDecision::Degrade);
+        assert!(!breaker.record_failure(7, 10.0));
+        assert_eq!(breaker.state(7, 11.0), BreakerState::Closed);
+        assert!(breaker.record_failure(7, 20.0), "third failure trips");
+        assert_eq!(breaker.state(7, 21.0), BreakerState::Open);
+        assert_eq!(breaker.check(7, 500_000.0), BreakerDecision::Degrade);
         // Cooldown elapsed: half-open, exactly one probe.
-        assert_eq!(breaker.state(7, 1010.0 + 1.0), BreakerState::HalfOpen);
-        assert_eq!(breaker.check(7, 1011.0), BreakerDecision::Probe);
         assert_eq!(
-            breaker.check(7, 1012.0),
+            breaker.state(7, 20.0 + BREAKER_COOLDOWN_NS + 1.0),
+            BreakerState::HalfOpen
+        );
+        assert_eq!(breaker.check(7, 1_000_021.0), BreakerDecision::Probe);
+        assert_eq!(
+            breaker.check(7, 1_000_022.0),
             BreakerDecision::Degrade,
             "only one probe at a time"
         );
@@ -241,15 +204,18 @@ mod tests {
 
     #[test]
     fn successful_probe_closes_failed_probe_reopens() {
-        let breaker = CircuitBreaker::new(BreakerPolicy {
-            failure_threshold: 1,
-            cooldown_ns: 100.0,
-        });
+        let breaker = CircuitBreaker::new();
+        for _ in 1..BREAKER_FAILURE_THRESHOLD {
+            assert!(!breaker.record_failure(1, 0.0));
+        }
         assert!(breaker.record_failure(1, 0.0));
-        assert_eq!(breaker.check(1, 200.0), BreakerDecision::Probe);
-        assert!(breaker.record_failure(1, 200.0), "failed probe re-opens");
-        assert_eq!(breaker.state(1, 250.0), BreakerState::Open);
-        assert_eq!(breaker.check(1, 400.0), BreakerDecision::Probe);
+        assert_eq!(breaker.check(1, 1_100_000.0), BreakerDecision::Probe);
+        assert!(
+            breaker.record_failure(1, 1_100_000.0),
+            "failed probe re-opens"
+        );
+        assert_eq!(breaker.state(1, 1_150_000.0), BreakerState::Open);
+        assert_eq!(breaker.check(1, 2_200_000.0), BreakerDecision::Probe);
         assert!(
             breaker.record_success(1),
             "probe success reports the open->closed transition"
@@ -258,21 +224,20 @@ mod tests {
             !breaker.record_success(1),
             "a second success is not a transition"
         );
-        assert_eq!(breaker.state(1, 401.0), BreakerState::Closed);
-        assert_eq!(breaker.check(1, 402.0), BreakerDecision::Allow);
+        assert_eq!(breaker.state(1, 2_200_001.0), BreakerState::Closed);
+        assert_eq!(breaker.check(1, 2_200_002.0), BreakerDecision::Allow);
         assert_eq!(breaker.opens(), 2);
-        assert_eq!(breaker.tripped_shapes(), 0);
     }
 
     #[test]
     fn shapes_are_independent() {
-        let breaker = CircuitBreaker::new(BreakerPolicy {
-            failure_threshold: 1,
-            cooldown_ns: 1e9,
-        });
-        assert!(breaker.record_failure(1, 0.0));
+        let breaker = CircuitBreaker::new();
+        for _ in 0..BREAKER_FAILURE_THRESHOLD {
+            breaker.record_failure(1, 0.0);
+        }
         assert_eq!(breaker.check(1, 1.0), BreakerDecision::Degrade);
         assert_eq!(breaker.check(2, 1.0), BreakerDecision::Allow);
-        assert_eq!(breaker.tripped_shapes(), 1);
+        assert_eq!(breaker.state(1, 1.0), BreakerState::Open);
+        assert_eq!(breaker.state(2, 1.0), BreakerState::Closed);
     }
 }

@@ -136,7 +136,6 @@ struct BnbVisitor<'a, 'o> {
     /// Region-efficiency tracking (selection refinement); `None` disables.
     occ: Option<&'a OccupancyModel>,
     prune: bool,
-    margin: f64,
     /// Eq. 2 accumulation along the current path (index = depth).
     partials: Vec<Partial>,
     /// Region-efficiency accumulation along the current path.
@@ -164,7 +163,6 @@ impl<'a, 'o> BnbVisitor<'a, 'o> {
         eval: &'a CostEval<'a>,
         occ: Option<&'a OccupancyModel>,
         prune: bool,
-        margin: f64,
         deadline: Option<Instant>,
         observer: Option<StrategyObserver<'o>>,
     ) -> Self {
@@ -172,7 +170,6 @@ impl<'a, 'o> BnbVisitor<'a, 'o> {
             eval,
             occ,
             prune,
-            margin,
             partials: vec![Partial::default()],
             eff_stack: vec![0.0],
             group_stack: Vec::with_capacity(4),
@@ -220,7 +217,7 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
         });
         let group = (self.eval.pipe[kernel_idx], region.tasks());
         if self.prune {
-            let cutoff = self.best_cost() * self.margin;
+            let cutoff = self.best_cost() * SearchPolicy::PRUNE_MARGIN;
             let mut model_cut = self.eval.lower_bound(acc, rows_remaining) >= cutoff;
             if !model_cut && self.eval.lpt_leaves() {
                 // Leaves are scored by LPT makespan, which whole rounds
@@ -238,7 +235,7 @@ impl StrategyVisitor for BnbVisitor<'_, '_> {
             // both. The partial efficiency sum is itself admissible
             // (completions only add regions).
             let eff_cut = match (eff, &self.best_eff) {
-                (Some(e), Some(b)) => e >= b.cost * self.margin,
+                (Some(e), Some(b)) => e >= b.cost * SearchPolicy::PRUNE_MARGIN,
                 (Some(_), None) => false,
                 (None, _) => true,
             };
@@ -375,14 +372,7 @@ impl Searcher<'_> {
         // The visitor persists across escalation rounds: an escalated round
         // re-walks the (larger) space with the previous round's incumbents
         // already in place, so revisited prefixes prune immediately.
-        let mut visitor = BnbVisitor::new(
-            &eval,
-            occ.as_ref(),
-            prune,
-            policy.prune_margin,
-            deadline,
-            observer,
-        );
+        let mut visitor = BnbVisitor::new(&eval, occ.as_ref(), prune, deadline, observer);
         let mut round = 0usize;
         loop {
             let budget = if prune {

@@ -26,11 +26,6 @@ pub struct SearchPolicy {
     /// descents (recursion plus leaf cost evaluation). Keeps worst-case
     /// polymerization in the low tens of microseconds (Fig. 12(a)).
     pub node_budget: usize,
-    /// Branch-and-bound margin: subtrees whose lower bound is within
-    /// `1 - prune_margin` of the incumbent are skipped. The cost model's
-    /// own error is several percent, so chasing sub-0.5% improvements
-    /// buys nothing.
-    pub prune_margin: f64,
     /// Occupancy-aware selection refinement: track the region-efficiency
     /// estimate alongside Eq. 2 and select the strategy the estimator
     /// favors (dynamic machines, full cost model only). This is what
@@ -50,7 +45,6 @@ impl Default for SearchPolicy {
         Self {
             shortlist: 16,
             node_budget: 600,
-            prune_margin: 0.995,
             refine: true,
             escalate_ratio: 1.10,
             max_escalations: 2,
@@ -59,6 +53,12 @@ impl Default for SearchPolicy {
 }
 
 impl SearchPolicy {
+    /// Branch-and-bound margin: subtrees whose lower bound is within
+    /// `1 - PRUNE_MARGIN` of the incumbent are skipped. The cost model's
+    /// own error is several percent, so chasing sub-0.5% improvements
+    /// buys nothing.
+    pub const PRUNE_MARGIN: f64 = 0.995;
+
     /// The pre-refactor behaviour: the same budget and shortlist size but
     /// no occupancy-aware refinement and no escalation. Used by the
     /// `oracle-gap-hard` before/after experiment and by tests that pin the

@@ -92,7 +92,7 @@ impl Lifecycle {
 
     /// The virtual drain point, `INFINITY` when only real-time state
     /// applies.
-    pub fn drain_at_ns(&self) -> f64 {
+    fn drain_at_ns(&self) -> f64 {
         f64::from_bits(self.drain_at_bits.load(Ordering::SeqCst))
     }
 

@@ -94,13 +94,16 @@
 //!   search-free fallback compile produces a correct, slower program. Only
 //!   when the fallback fails too is the request [`Disposition::Failed`].
 //! * **Transient retries** — injected device faults
-//!   ([`ServingOptions::fault_plan`]) are retried with exponential
-//!   backoff in virtual device time per [`ServingOptions::retry`];
-//!   exhausting the budget fails the request.
+//!   ([`ServingOptions::fault_plan`]) are retried up to
+//!   [`MAX_RETRIES`](crate::MAX_RETRIES) times, with exponential backoff
+//!   from [`RETRY_BACKOFF_NS`](crate::RETRY_BACKOFF_NS) in virtual device
+//!   time; exhausting the retries fails the request.
 //! * **Circuit breaker** — [`ServingOptions::breaker`] keys a
 //!   [`CircuitBreaker`](crate::CircuitBreaker) by request shape:
-//!   persistently failing shapes route straight to the degraded path
-//!   until a cooldown elapses and a single probe retries the full path.
+//!   after [`BREAKER_FAILURE_THRESHOLD`](crate::BREAKER_FAILURE_THRESHOLD)
+//!   consecutive failures a shape routes straight to the degraded path
+//!   until [`BREAKER_COOLDOWN_NS`](crate::BREAKER_COOLDOWN_NS) elapses
+//!   and a single probe retries the full path.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 

@@ -6,8 +6,8 @@
 //! emission shared by the solo and batched policies.
 
 use mikpoly_telemetry::{
-    ChainRecord, Clock, Lane, LatencyStats, SloEngine, SloObservation, SloPolicy, SloReport,
-    SpanRecord, Telemetry,
+    ChainRecord, Clock, Lane, LatencyStats, SloEngine, SloObservation, SloReport, SpanRecord,
+    Telemetry,
 };
 
 use super::request::{
@@ -178,13 +178,15 @@ impl ServingReport {
         }
     }
 
-    /// Evaluates the stream against `policy`: every record becomes one
-    /// [`SloObservation`] (deadline verdicts only for requests that
-    /// carried a deadline), and the engine's disposition tally is built
-    /// from the same records as [`ServingReport::dispositions`], so the
-    /// two always agree — `mikpoly health` asserts this equality.
-    pub fn evaluate_slo(&self, policy: SloPolicy) -> SloReport {
-        let mut engine = SloEngine::new(policy);
+    /// Evaluates the stream against the SLO engine's fixed targets and
+    /// windows, holding compile p99 to `compile_p99_budget_ns` when one is
+    /// given: every record becomes one [`SloObservation`] (deadline
+    /// verdicts only for requests that carried a deadline), and the
+    /// engine's disposition tally is built from the same records as
+    /// [`ServingReport::dispositions`], so the two always agree —
+    /// `mikpoly health` asserts this equality.
+    pub fn evaluate_slo(&self, compile_p99_budget_ns: Option<f64>) -> SloReport {
+        let mut engine = SloEngine::new(compile_p99_budget_ns);
         for r in &self.records {
             let served = matches!(
                 r.disposition,

@@ -57,12 +57,15 @@ use super::request::{
 };
 use crate::compiler::{CompileBudget, FaultInjection};
 use crate::engine::{Engine, ServedPlan};
-use crate::resilience::{BreakerDecision, BreakerPolicy, CircuitBreaker, RetryPolicy};
+use crate::resilience::{backoff_ns, BreakerDecision, CircuitBreaker, MAX_RETRIES};
 
 /// Fault-tolerance and dispatch policy for one [`ServingRuntime`]. The
 /// default is the fault-free solo fast path: no deadlines enforced beyond
 /// the requests' own, unbounded queue, no breaker, no injected faults,
-/// no batching, no tenant quotas.
+/// no batching, no tenant quotas. The device-fault retry schedule is
+/// fixed, not an option: up to [`MAX_RETRIES`] retries, the first after
+/// a virtual backoff of [`RETRY_BACKOFF_NS`](crate::RETRY_BACKOFF_NS)
+/// that doubles per retry.
 #[derive(Debug, Clone, Default)]
 pub struct ServingOptions {
     /// Bound on requests admitted but waiting for a worker; `None` is
@@ -72,10 +75,11 @@ pub struct ServingOptions {
     /// to its incumbent (and then to the search-free fallback) rather
     /// than overrun it.
     pub compile_budget: Option<Duration>,
-    /// Retry schedule for transient device faults.
-    pub retry: RetryPolicy,
-    /// Per-shape circuit breaker for persistent compile failures.
-    pub breaker: Option<BreakerPolicy>,
+    /// Per-shape circuit breaker for persistent compile failures: it
+    /// opens after [`BREAKER_FAILURE_THRESHOLD`](crate::BREAKER_FAILURE_THRESHOLD)
+    /// consecutive failures and half-opens after the fixed
+    /// [`BREAKER_COOLDOWN_NS`](crate::BREAKER_COOLDOWN_NS).
+    pub breaker: bool,
     /// Deterministic fault-injection plan. Each [`ServingRuntime::serve`]
     /// call replays it from attempt zero in a [`FaultInjection`] context
     /// of its own, which travels with that call's compiles only. Serve
@@ -281,7 +285,7 @@ impl ServingRuntime {
     /// one.
     #[must_use]
     pub fn with_options(mut self, options: ServingOptions) -> Self {
-        self.breaker = options.breaker.map(CircuitBreaker::new);
+        self.breaker = options.breaker.then(CircuitBreaker::new);
         self.options = options;
         self
     }
@@ -299,16 +303,6 @@ impl ServingRuntime {
     /// Worker-thread count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The fault-tolerance policy in force.
-    pub fn options(&self) -> &ServingOptions {
-        &self.options
-    }
-
-    /// The per-shape circuit breaker, when enabled.
-    pub fn breaker(&self) -> Option<&CircuitBreaker> {
-        self.breaker.as_ref()
     }
 
     /// The drain handle. Clone it out to trigger a graceful shutdown
@@ -465,14 +459,13 @@ impl ServingRuntime {
         let mut device_failed = false;
         let mut total_device_ns = plan.as_ref().map_or(0.0, |p| p.run.device_ns);
         if let (Some(plan), Some(fault_plan)) = (&plan, faults.map(FaultInjection::plan)) {
-            let retry = self.options.retry;
             let mut attempt = 0u32;
             while fault_plan.device_fault(request.id as u64, attempt) {
-                if attempt >= retry.max_retries {
+                if attempt >= MAX_RETRIES {
                     device_failed = true;
                     break;
                 }
-                total_device_ns += retry.backoff_for(attempt) + plan.run.device_ns;
+                total_device_ns += backoff_ns(attempt) + plan.run.device_ns;
                 retries += 1;
                 attempt += 1;
             }
@@ -1121,48 +1114,101 @@ mod tests {
     fn breaker_opens_probes_and_recovers() {
         let engine = engine();
         let cluster = local_cluster(&engine);
-        // Compilation of the (single) shape panics on its first 5
-        // attempts, then heals. Threshold 2 and a cooldown shorter than
-        // the arrival gap give a fully deterministic single-worker
-        // timeline: fail, fail-and-open, three failed probes (re-opens),
-        // a successful probe that closes, then cache hits.
+        // Compilation of the (single) shape panics on its first 6
+        // attempts, then heals. The breaker's threshold of 3 and an
+        // arrival gap longer than its 1 ms cooldown give a fully
+        // deterministic single-worker timeline: two failures,
+        // fail-and-open, three failed probes (re-opens), a successful
+        // probe that closes, then cache hits.
         let plan = FaultPlan {
             seed: 11,
             compile_panic_rate: 1.0,
-            panic_attempts: 5,
+            panic_attempts: 6,
             ..FaultPlan::none()
         };
         let runtime = ServingRuntime::new(engine, cluster, 1).with_options(ServingOptions {
-            breaker: Some(BreakerPolicy {
-                failure_threshold: 2,
-                cooldown_ns: 5_000.0,
-            }),
+            breaker: true,
             fault_plan: Some(Arc::new(plan)),
             ..ServingOptions::default()
         });
-        let requests: Vec<Request> = (0..8)
+        let requests: Vec<Request> = (0..9)
             .map(|i| {
                 Request::single(
                     i,
-                    i as f64 * 10_000.0,
+                    i as f64 * 2_000_000.0,
                     Operator::gemm(GemmShape::new(256, 256, 256)),
                 )
             })
             .collect();
         let report = runtime.serve(&requests);
         let counts = report.dispositions();
-        assert_eq!(counts.degraded, 5, "{counts:?}");
+        assert_eq!(counts.degraded, 6, "{counts:?}");
         assert_eq!(counts.completed, 3, "{counts:?}");
         assert_eq!(counts.failed, 0, "{counts:?}");
-        // Open on the second failure, then three failed probes re-open.
+        // Open on the third failure, then three failed probes re-open.
         assert_eq!(report.breaker_opens, 4);
-        for r in &report.records[..5] {
+        let events: Vec<_> = report.records.iter().map(|r| r.breaker_event).collect();
+        let opened = Some("opened");
+        assert_eq!(
+            events,
+            [
+                None,
+                None,
+                opened,
+                opened,
+                opened,
+                opened,
+                Some("closed"),
+                None,
+                None
+            ]
+        );
+        for r in &report.records[..6] {
             assert_eq!(r.disposition, Disposition::Degraded, "{r:?}");
             assert!(r.executed(), "degraded requests still run: {r:?}");
         }
-        for r in &report.records[5..] {
+        for r in &report.records[6..] {
             assert_eq!(r.disposition, Disposition::Completed, "{r:?}");
         }
+    }
+
+    #[test]
+    fn exhausted_retries_charge_every_attempt_and_backoff() {
+        let engine = engine();
+        // Two devices, so the dispatch latency is charged too.
+        let cluster = Cluster::new(engine.machine().clone(), 2, Interconnect::nvlink3());
+        let dispatch_ns = cluster.interconnect.latency_ns;
+        let op = Operator::gemm(GemmShape::new(256, 256, 256));
+        let base = engine
+            .try_plan_graph([(&op, 1)], CompileBudget::default())
+            .expect("fault-free plan")
+            .run
+            .device_ns;
+        let serve = |device_fault_rate: f64| {
+            let plan = FaultPlan {
+                device_fault_rate,
+                ..FaultPlan::none()
+            };
+            let runtime = ServingRuntime::new(Arc::clone(&engine), cluster.clone(), 1)
+                .with_options(ServingOptions {
+                    fault_plan: Some(Arc::new(plan)),
+                    ..ServingOptions::default()
+                });
+            runtime.serve(&[Request::single(0, 0.0, op)]).records[0]
+        };
+        // Every attempt faults: the first run, then two retries after
+        // backoffs of 2 us and 4 us, each paying the run again.
+        let failed = serve(1.0);
+        assert_eq!(failed.disposition, Disposition::Failed);
+        assert_eq!(failed.retries, 2);
+        assert_eq!(
+            failed.device_ns,
+            base + (2_000.0 + base) + (4_000.0 + base) + dispatch_ns
+        );
+        let healthy = serve(0.0);
+        assert_eq!(healthy.disposition, Disposition::Completed);
+        assert_eq!(healthy.retries, 0);
+        assert_eq!(healthy.device_ns, base + dispatch_ns);
     }
 
     #[test]

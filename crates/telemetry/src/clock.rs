@@ -58,14 +58,6 @@ impl ClockNs {
         }
     }
 
-    /// A virtual (simulated-time) duration.
-    pub fn virt(ns: f64) -> Self {
-        Self {
-            clock: Clock::Virtual,
-            ns,
-        }
-    }
-
     /// The clock this duration was measured on.
     pub fn clock(&self) -> Clock {
         self.clock
@@ -131,13 +123,20 @@ impl fmt::Display for ClockNs {
 mod tests {
     use super::*;
 
+    fn virt(ns: f64) -> ClockNs {
+        ClockNs {
+            clock: Clock::Virtual,
+            ns,
+        }
+    }
+
     #[test]
     fn accessors_enforce_the_clock() {
         let real = ClockNs::real(1500.0);
         assert_eq!(real.clock(), Clock::Real);
         assert_eq!(real.real_ns(), 1500.0);
         assert_eq!(real.onto_virtual_timeline(), 1500.0);
-        let virt = ClockNs::virt(2500.0);
+        let virt = virt(2500.0);
         assert_eq!(virt.virtual_ns(), 2500.0);
         assert!(!virt.is_zero());
         assert!(ClockNs::real(0.0).is_zero());
@@ -152,12 +151,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected a real-clock duration")]
     fn virtual_duration_rejects_real_accessor() {
-        let _ = ClockNs::virt(1.0).real_ns();
+        let _ = virt(1.0).real_ns();
     }
 
     #[test]
     fn labels_render() {
         assert_eq!(Clock::Real.label(), "real");
-        assert_eq!(format!("{}", ClockNs::virt(2.0)), "2.0 ns (virtual)");
+        assert_eq!(format!("{}", virt(2.0)), "2.0 ns (virtual)");
     }
 }

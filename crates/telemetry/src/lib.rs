@@ -42,8 +42,7 @@ pub use recorder::{
     RECORDER_SHARDS,
 };
 pub use slo::{
-    render_blackbox, BurnRule, DispositionTally, SloEngine, SloObservation, SloPolicy, SloReport,
-    WindowSli,
+    render_blackbox, BurnRule, DispositionTally, SloEngine, SloObservation, SloReport, WindowSli,
 };
 pub use span::{ArgValue, Lane, SpanKind, SpanRecord, SpanSink};
 
@@ -66,17 +65,12 @@ impl Telemetry {
     /// A live handle: spans, metrics, and flight-recorder chains are
     /// recorded.
     pub fn enabled() -> Arc<Self> {
-        Self::enabled_with_recorder(RecorderConfig::default())
-    }
-
-    /// A live handle with explicit flight-recorder tuning.
-    pub fn enabled_with_recorder(config: RecorderConfig) -> Arc<Self> {
         Arc::new(Self {
             enabled: true,
             epoch: Instant::now(),
             registry: Registry::new(),
             spans: SpanSink::new(),
-            recorder: FlightRecorder::new(config, true),
+            recorder: FlightRecorder::new(RecorderConfig::default(), true),
         })
     }
 

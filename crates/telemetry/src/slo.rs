@@ -24,6 +24,11 @@
 //! the short window gives fast detection, the long window suppresses
 //! blips (Google SRE workbook, ch. 5). A burn of 1.0 means the error
 //! budget is being consumed exactly as fast as it accrues.
+//!
+//! The targets ([`GOODPUT_TARGET`], [`DEADLINE_TARGET`], the
+//! [`DEGRADED_BUDGET`] ceiling), the windows ([`SHORT_WINDOW_NS`],
+//! [`LONG_WINDOW_NS`]) and [`BURN_THRESHOLD`] are fixed; the one parameter
+//! is the optional compile-p99 budget [`SloEngine::new`] takes.
 
 use std::fmt::Write as _;
 
@@ -32,40 +37,24 @@ use crate::clock::Clock;
 use crate::metrics::Histogram;
 use crate::recorder::{render_chain_json, ChainDisposition, FlightRecorder, RetainedChain};
 
-/// SLO targets and evaluation windows.
-#[derive(Debug, Clone, Copy)]
-pub struct SloPolicy {
-    /// Target fraction of requests served (goodput SLI floor).
-    pub goodput_target: f64,
-    /// Target fraction of deadline-carrying requests meeting their
-    /// deadline.
-    pub deadline_target: f64,
-    /// Ceiling on the fraction of requests served degraded.
-    pub degraded_budget: f64,
-    /// Optional real-clock budget for compile p99, in nanoseconds.
-    pub compile_p99_budget_ns: Option<f64>,
-    /// Short trailing window on the virtual timeline, in nanoseconds.
-    pub short_window_ns: f64,
-    /// Long trailing window on the virtual timeline, in nanoseconds.
-    pub long_window_ns: f64,
-    /// Burn-rate threshold; a rule fires when both windows burn at or
-    /// above it.
-    pub burn_threshold: f64,
-}
+/// Target fraction of requests served (goodput SLI floor).
+pub const GOODPUT_TARGET: f64 = 0.95;
 
-impl Default for SloPolicy {
-    fn default() -> Self {
-        Self {
-            goodput_target: 0.95,
-            deadline_target: 0.95,
-            degraded_budget: 0.25,
-            compile_p99_budget_ns: None,
-            short_window_ns: 1e8,
-            long_window_ns: 1e9,
-            burn_threshold: 1.0,
-        }
-    }
-}
+/// Target fraction of deadline-carrying requests meeting their deadline.
+pub const DEADLINE_TARGET: f64 = 0.95;
+
+/// Ceiling on the fraction of requests served degraded.
+pub const DEGRADED_BUDGET: f64 = 0.25;
+
+/// Short trailing window on the virtual timeline, ns (100 ms).
+pub const SHORT_WINDOW_NS: f64 = 1e8;
+
+/// Long trailing window on the virtual timeline, ns (1 s).
+pub const LONG_WINDOW_NS: f64 = 1e9;
+
+/// Burn-rate threshold; a rule fires when both windows burn at or above
+/// it.
+pub const BURN_THRESHOLD: f64 = 1.0;
 
 /// One request's contribution to the SLIs.
 #[derive(Debug, Clone, Copy)]
@@ -239,27 +228,25 @@ fn push_window(out: &mut String, name: &str, window: &WindowSli) {
     out.push('}');
 }
 
-/// Accumulates observations and evaluates the policy.
+/// Accumulates observations and evaluates them against the fixed
+/// targets ([`GOODPUT_TARGET`], [`DEADLINE_TARGET`], [`DEGRADED_BUDGET`]),
+/// windows and [`BURN_THRESHOLD`], plus an optional compile budget.
 #[derive(Debug)]
 pub struct SloEngine {
-    policy: SloPolicy,
+    compile_p99_budget_ns: Option<f64>,
     observations: Vec<SloObservation>,
     compile: Histogram,
 }
 
 impl SloEngine {
-    /// Creates an engine for one evaluation pass.
-    pub fn new(policy: SloPolicy) -> Self {
+    /// Creates an engine for one evaluation pass; compile p99 is held to
+    /// `compile_p99_budget_ns` (real-clock ns) when one is given.
+    pub fn new(compile_p99_budget_ns: Option<f64>) -> Self {
         Self {
-            policy,
+            compile_p99_budget_ns,
             observations: Vec::new(),
             compile: Histogram::new(Clock::Real),
         }
-    }
-
-    /// The policy under evaluation.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
     }
 
     /// Feeds one finished request.
@@ -287,8 +274,8 @@ impl SloEngine {
             .map(|o| o.finish_ns)
             .fold(0.0_f64, f64::max);
         let overall = window_sli(&self.observations, f64::INFINITY, end);
-        let short = window_sli(&self.observations, self.policy.short_window_ns, end);
-        let long = window_sli(&self.observations, self.policy.long_window_ns, end);
+        let short = window_sli(&self.observations, SHORT_WINDOW_NS, end);
+        let long = window_sli(&self.observations, LONG_WINDOW_NS, end);
 
         let mut dispositions = DispositionTally::default();
         for o in &self.observations {
@@ -300,34 +287,29 @@ impl SloEngine {
             }
         }
 
-        let threshold = self.policy.burn_threshold;
         let rules = vec![
             burn_rule(
                 "goodput",
-                self.policy.goodput_target,
-                ratio_burn(short.goodput_ratio, self.policy.goodput_target),
-                ratio_burn(long.goodput_ratio, self.policy.goodput_target),
-                threshold,
+                GOODPUT_TARGET,
+                ratio_burn(short.goodput_ratio, GOODPUT_TARGET),
+                ratio_burn(long.goodput_ratio, GOODPUT_TARGET),
             ),
             burn_rule(
                 "deadline",
-                self.policy.deadline_target,
-                ratio_burn(short.deadline_hit_rate, self.policy.deadline_target),
-                ratio_burn(long.deadline_hit_rate, self.policy.deadline_target),
-                threshold,
+                DEADLINE_TARGET,
+                ratio_burn(short.deadline_hit_rate, DEADLINE_TARGET),
+                ratio_burn(long.deadline_hit_rate, DEADLINE_TARGET),
             ),
             burn_rule(
                 "degraded",
-                self.policy.degraded_budget,
-                budget_burn(short.degraded_fraction, self.policy.degraded_budget),
-                budget_burn(long.degraded_fraction, self.policy.degraded_budget),
-                threshold,
+                DEGRADED_BUDGET,
+                budget_burn(short.degraded_fraction, DEGRADED_BUDGET),
+                budget_burn(long.degraded_fraction, DEGRADED_BUDGET),
             ),
         ];
 
         let compile_p99_ns = self.compile.percentile_ns(0.99);
         let compile_budget_breached = self
-            .policy
             .compile_p99_budget_ns
             .is_some_and(|budget| compile_p99_ns as f64 > budget);
         let violated = compile_budget_breached || rules.iter().any(|r| r.breached);
@@ -337,7 +319,7 @@ impl SloEngine {
             short,
             long,
             compile_p99_ns,
-            compile_budget_ns: self.policy.compile_p99_budget_ns,
+            compile_budget_ns: self.compile_p99_budget_ns,
             compile_budget_breached,
             rules,
             violated,
@@ -408,20 +390,14 @@ fn budget_burn(fraction: f64, ceiling: f64) -> f64 {
     fraction / ceiling.max(1e-9)
 }
 
-fn burn_rule(
-    sli: &'static str,
-    target: f64,
-    short_burn: f64,
-    long_burn: f64,
-    threshold: f64,
-) -> BurnRule {
+fn burn_rule(sli: &'static str, target: f64, short_burn: f64, long_burn: f64) -> BurnRule {
     BurnRule {
         sli,
         target,
         short_burn,
         long_burn,
-        threshold,
-        breached: short_burn >= threshold && long_burn >= threshold,
+        threshold: BURN_THRESHOLD,
+        breached: short_burn >= BURN_THRESHOLD && long_burn >= BURN_THRESHOLD,
     }
 }
 
@@ -474,7 +450,7 @@ mod tests {
 
     #[test]
     fn empty_engine_is_healthy() {
-        let engine = SloEngine::new(SloPolicy::default());
+        let engine = SloEngine::new(None);
         let report = engine.evaluate();
         assert!(!report.violated);
         assert_eq!(report.dispositions.total(), 0);
@@ -483,7 +459,7 @@ mod tests {
 
     #[test]
     fn healthy_stream_does_not_violate() {
-        let mut engine = SloEngine::new(SloPolicy::default());
+        let mut engine = SloEngine::new(None);
         for i in 0..100 {
             engine.observe(observation(i as f64 * 1000.0, ChainDisposition::Completed));
         }
@@ -495,7 +471,7 @@ mod tests {
 
     #[test]
     fn mass_shedding_breaches_goodput_in_both_windows() {
-        let mut engine = SloEngine::new(SloPolicy::default());
+        let mut engine = SloEngine::new(None);
         for i in 0..50 {
             let disposition = if i % 10 == 0 {
                 ChainDisposition::Completed
@@ -517,19 +493,14 @@ mod tests {
 
     #[test]
     fn short_window_blip_alone_does_not_fire() {
-        // 10_000 healthy finishes spread over 10x the long window, then
-        // a burst of sheds inside the short window only.
-        let policy = SloPolicy {
-            short_window_ns: 1e4,
-            long_window_ns: 1e7,
-            ..SloPolicy::default()
-        };
-        let mut engine = SloEngine::new(policy);
+        // 10_000 healthy finishes 1 ms apart, spread over 10x the long
+        // window, then a burst of sheds inside the short window only.
+        let mut engine = SloEngine::new(None);
         for i in 0..10_000 {
-            engine.observe(observation(i as f64 * 1e3, ChainDisposition::Completed));
+            engine.observe(observation(i as f64 * 1e6, ChainDisposition::Completed));
         }
-        let end = 10_000.0 * 1e3;
-        for i in 0..5 {
+        let end = 10_000.0 * 1e6;
+        for i in 0..10 {
             engine.observe(observation(end + i as f64, ChainDisposition::Shed));
         }
         let report = engine.evaluate();
@@ -545,7 +516,7 @@ mod tests {
 
     #[test]
     fn deadline_misses_fire_the_deadline_rule() {
-        let mut engine = SloEngine::new(SloPolicy::default());
+        let mut engine = SloEngine::new(None);
         for i in 0..20 {
             let mut o = observation(i as f64 * 1000.0, ChainDisposition::Completed);
             o.deadline_met = Some(i % 2 == 0);
@@ -563,11 +534,7 @@ mod tests {
 
     #[test]
     fn compile_budget_breach_violates() {
-        let policy = SloPolicy {
-            compile_p99_budget_ns: Some(10.0),
-            ..SloPolicy::default()
-        };
-        let mut engine = SloEngine::new(policy);
+        let mut engine = SloEngine::new(Some(10.0));
         let mut o = observation(1.0, ChainDisposition::Completed);
         o.compile_ns = 1e6;
         engine.observe(o);
@@ -578,7 +545,7 @@ mod tests {
 
     #[test]
     fn json_snapshot_has_exact_disposition_fields() {
-        let mut engine = SloEngine::new(SloPolicy::default());
+        let mut engine = SloEngine::new(None);
         engine.observe(observation(1.0, ChainDisposition::Completed));
         engine.observe(observation(2.0, ChainDisposition::Degraded));
         engine.observe(observation(3.0, ChainDisposition::Shed));

@@ -28,16 +28,6 @@ impl GemmShape {
     pub fn flops(&self) -> f64 {
         2.0 * self.m as f64 * self.n as f64 * self.k as f64
     }
-
-    /// Minimum global-memory traffic in elements (read `A`, `B`; write `C`).
-    pub fn min_traffic_elems(&self) -> f64 {
-        (self.m * self.k + self.k * self.n + self.m * self.n) as f64
-    }
-
-    /// Arithmetic intensity in FLOPs per element of compulsory traffic.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        self.flops() / self.min_traffic_elems()
-    }
 }
 
 impl std::fmt::Display for GemmShape {
@@ -253,13 +243,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_gemm_dim_rejected() {
         let _ = GemmShape::new(0, 4, 4);
-    }
-
-    #[test]
-    fn arithmetic_intensity_grows_with_size() {
-        let small = GemmShape::new(64, 64, 64);
-        let large = GemmShape::new(1024, 1024, 1024);
-        assert!(large.arithmetic_intensity() > small.arithmetic_intensity());
     }
 
     #[test]

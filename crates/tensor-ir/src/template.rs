@@ -160,38 +160,6 @@ impl TwoStageTemplate {
             offline: MicroKernelTemplate::gemm(),
         }
     }
-
-    /// The GEMM template with some dimensions statically known (e.g. the
-    /// weight-defined `N`, `K` of a linear layer whose `M` is the dynamic
-    /// sequence length).
-    pub fn gemm_with_static(n: Option<usize>, k: Option<usize>) -> Self {
-        let mut t = Self::gemm();
-        for l in &mut t.online {
-            match l.axis {
-                Axis::N => {
-                    if let Some(v) = n {
-                        l.extent = Extent::Static(v);
-                    }
-                }
-                Axis::K => {
-                    if let Some(v) = k {
-                        l.extent = Extent::Static(v);
-                    }
-                }
-                Axis::M => {}
-            }
-        }
-        t
-    }
-
-    /// The axes whose extents are dynamic.
-    pub fn dynamic_axes(&self) -> Vec<Axis> {
-        self.online
-            .iter()
-            .filter(|l| matches!(l.extent, Extent::Dynamic(_)))
-            .map(|l| l.axis)
-            .collect()
-    }
 }
 
 impl std::fmt::Display for TwoStageTemplate {
@@ -226,13 +194,12 @@ mod tests {
     #[test]
     fn gemm_template_has_three_dynamic_axes() {
         let t = TwoStageTemplate::gemm();
-        assert_eq!(t.dynamic_axes(), vec![Axis::M, Axis::N, Axis::K]);
-    }
-
-    #[test]
-    fn static_dims_are_not_dynamic() {
-        let t = TwoStageTemplate::gemm_with_static(Some(1024), Some(4096));
-        assert_eq!(t.dynamic_axes(), vec![Axis::M]);
+        let axes: Vec<Axis> = t.online.iter().map(|l| l.axis).collect();
+        assert_eq!(axes, vec![Axis::M, Axis::N, Axis::K]);
+        assert!(t
+            .online
+            .iter()
+            .all(|l| matches!(l.extent, Extent::Dynamic(_))));
     }
 
     #[test]

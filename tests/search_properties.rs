@@ -92,7 +92,7 @@ fn pruning_keeps_the_optimum(target: &Target, shape: GemmShape) -> Result<(), Te
     );
     if pruned.stats.budget_exhausted == 0 {
         prop_assert!(
-            pruned.predicted_ns <= full.predicted_ns / policy.prune_margin + 1e-9,
+            pruned.predicted_ns <= full.predicted_ns / SearchPolicy::PRUNE_MARGIN + 1e-9,
             "{}: pruning cut the optimum: {} vs {}",
             target.0.name,
             pruned.predicted_ns,

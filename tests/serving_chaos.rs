@@ -13,9 +13,8 @@ use std::time::{Duration, Instant};
 use mikpoly_conformance::assert_matches_reference;
 use mikpoly_suite::accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly_suite::mikpoly::{
-    execute_gemm, poisson_arrivals, BreakerPolicy, CompileBudget, Disposition, Engine,
-    FaultInjection, MikPoly, OfflineOptions, OnlineOptions, Request, ServingOptions,
-    ServingRuntime, TemplateKind,
+    execute_gemm, poisson_arrivals, CompileBudget, Disposition, Engine, FaultInjection, MikPoly,
+    OfflineOptions, OnlineOptions, Request, ServingOptions, ServingRuntime, TemplateKind,
 };
 use mikpoly_suite::tensor_ir::{reference_gemm, GemmShape, Operator, Tensor};
 
@@ -68,7 +67,7 @@ fn chaos_mix_yields_exactly_one_disposition_per_request() {
         .with_options(ServingOptions {
             queue_capacity: Some(8),
             compile_budget: Some(Duration::from_millis(20)),
-            breaker: Some(BreakerPolicy::default()),
+            breaker: true,
             fault_plan: Some(Arc::new(plan)),
             ..ServingOptions::default()
         });
@@ -335,7 +334,7 @@ fn snapshot_mid_chaos_drain_and_restart_serves_warm() {
         .with_telemetry(Arc::clone(&telemetry))
         .with_options(ServingOptions {
             compile_budget: Some(Duration::from_millis(20)),
-            breaker: Some(BreakerPolicy::default()),
+            breaker: true,
             fault_plan: Some(Arc::new(plan)),
             ..ServingOptions::default()
         });

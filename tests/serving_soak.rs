@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use mikpoly_suite::accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly_suite::mikpoly::{
-    poisson_arrivals, BreakerPolicy, Disposition, Engine, OfflineOptions, Request, ServingOptions,
-    ServingRuntime,
+    poisson_arrivals, Disposition, Engine, OfflineOptions, Request, ServingOptions, ServingRuntime,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 
@@ -95,7 +94,7 @@ fn soak_preserves_disposition_and_chain_retention_invariants() {
         .with_options(ServingOptions {
             queue_capacity: Some(16),
             compile_budget: Some(Duration::from_millis(50)),
-            breaker: Some(BreakerPolicy::default()),
+            breaker: true,
             fault_plan: Some(Arc::new(plan)),
             ..ServingOptions::default()
         });
